@@ -129,12 +129,12 @@ def bench_sharded_storm(groups: int = 10, res_per_group: int = 40,
 
     kernel = "compiled"
     if kernel_status() == "unavailable":
-        # No C compiler and no numba: the deviation contract and the
-        # shard counters are still checkable on the python kernel, the
-        # speedup floor is not (both sides would just be python-bound).
+        # No C compiler: the deviation contract and the shard counters
+        # are still checkable on the python kernel, the speedup floor
+        # is not (both sides would just be python-bound).
         assert not require_speedup, (
-            "sharded_storm needs the compiled kernel (C compiler or "
-            "pip install repro[compiled]) for the full/--check run")
+            "sharded_storm needs the compiled kernel (a C compiler) "
+            "for the full/--check run")
         kernel = "python"
 
     import numpy as np

@@ -13,8 +13,8 @@ needs of the cluster/file-system models in this package:
   used for every NIC, link and storage target in the cluster models;
 - :mod:`~repro.des.sched` — pluggable event queues (calendar queue and
   binary heap, ``REPRO_SCHEDULER``);
-- :mod:`~repro.des.kernels` — the optional compiled water-filling kernel
-  (``REPRO_KERNEL``);
+- :mod:`~repro.des.kernels` — the water-filling kernels: compiled C by
+  default when a C compiler is found, numpy otherwise (``REPRO_KERNEL``);
 - :mod:`~repro.des.partition` / :mod:`~repro.des.shards` — min-cut graph
   partitioning and the persistent shard-worker pool behind the
   ``sharded`` solver (``REPRO_SOLVER=sharded``, ``REPRO_SHARDS``);

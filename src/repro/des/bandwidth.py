@@ -42,8 +42,11 @@ O(everything):
   max-min fairness, so the freeze rounds of :meth:`FlowNetwork._maxmin_rates`
   run over *equivalence classes* instead of flows. A barrier-synchronised
   storm of thousands of identical writers collapses to a handful of
-  classes; the per-round cost drops from O(F·K) to O(C·K). Rates are
-  bit-identical to the per-flow solve at ``fairness_slack=0``.
+  classes; the per-round cost drops from O(F·K) to O(C·K), and a
+  network of all-distinct flows is the degenerate all-singleton case of
+  the same solve. The rounds run in the compiled C kernel by default
+  (:mod:`repro.des.kernels`; numpy when no C compiler is found), with
+  bit-identical results either way.
 - **packed active indices** — :meth:`_advance` and
   :meth:`_complete_finished` touch only the packed array of active slots,
   not the whole (grown) slot arrays; the packed ascending array is
@@ -245,9 +248,10 @@ class FlowNetwork:
         #: per-target loads) into a handful of vectorised rounds.
         self.fairness_slack = float(fairness_slack)
         self.solver = _resolve_solver(solver)
-        #: Water-filling implementation: ``python`` (numpy, always
-        #: available) or ``compiled`` (see :mod:`repro.des.kernels`);
-        #: bit-identical at any slack, so this is pure speed.
+        #: Water-filling implementation: ``compiled`` (the C kernel, the
+        #: default when it loads) or ``python`` (numpy, always available;
+        #: see :mod:`repro.des.kernels`); bit-identical at any slack, so
+        #: this is pure speed.
         self.kernel = resolve_kernel(kernel)
         self._kernel_impl = (compiled_kernel()
                              if self.kernel == KERNEL_COMPILED else None)
@@ -294,10 +298,6 @@ class FlowNetwork:
         self._class_free: List[int] = []
         self._class_res = np.full((64, MAX_RES_PER_FLOW), -1, dtype=np.int64)
         self._class_cap = np.zeros(64, dtype=float)
-        #: Number of classes with at least one live flow. When this equals
-        #: the active flow count every class is a singleton and the solver
-        #: takes the plain per-flow path (no indirection to pay for).
-        self._live_classes = 0
 
         # Packed active-slot bookkeeping: the set mutates in O(1) per
         # arrival/departure; the packed ascending index array absorbs the
@@ -652,8 +652,6 @@ class FlowNetwork:
             self._class_res[cid, :len(res_indices)] = res_indices
             self._class_cap[cid] = rate_cap
         self._class_refs[cid] += 1
-        if self._class_refs[cid] == 1:
-            self._live_classes += 1
         return cid
 
     def _alloc_slot(self) -> int:
@@ -731,7 +729,6 @@ class FlowNetwork:
         cid = int(self._slot_class[index])
         self._class_refs[cid] -= 1
         if self._class_refs[cid] == 0:
-            self._live_classes -= 1
             del self._class_ids[self._class_keys[cid]]
             self._class_keys[cid] = None
             self._class_free.append(cid)
@@ -1045,18 +1042,19 @@ class FlowNetwork:
         and freeze together. Resource occupancy counts weight each class
         by its multiplicity, and the capacity consumed by a freeze is
         scattered per flow in ascending slot order, so the result is
-        bit-identical to the per-flow solve at ``fairness_slack=0`` —
-        and, because every per-capacity accumulation involves only that
+        bit-identical to solving flow by flow at ``fairness_slack=0``
+        (all-distinct flows are simply all-singleton classes) — and,
+        because every per-capacity accumulation involves only that
         capacity's own component's flows in the same order, a solve over
         one component is bit-identical to the same flows' rows of a
         solve over the whole network.
 
-        With ``kernel="compiled"`` the whole solve — class uniquing,
-        freeze rounds, per-flow scatter — runs in the compiled kernel
-        (:mod:`repro.des.kernels`), which replicates this method's
+        With ``kernel="compiled"`` (the default when a C compiler is
+        found) the whole solve — class uniquing, freeze rounds, per-flow
+        scatter — runs in the C kernel (:mod:`repro.des.kernels`), which
+        replicates :func:`~repro.des.kernels.maxmin_class_solve_np`'s
         floating-point operation order exactly and is therefore
-        bit-identical at *any* slack, for singleton and collapsed
-        classes alike.
+        bit-identical to ``kernel="python"`` at *any* slack.
         """
         kern = self._kernel_impl
         if kern is not None:
@@ -1064,67 +1062,9 @@ class FlowNetwork:
             return kern.solve(self._slot_class[idx], self._class_res,
                               self._class_cap, self._capacities,
                               self.fairness_slack)
-        if self._live_classes == len(self._active_set):
-            # Every live class is a singleton (e.g. all caps distinct):
-            # the class indirection cannot collapse anything, so run the
-            # plain per-flow solve. (The predicate is global, so both
-            # solvers dispatch the same way for any subset.)
-            return self._maxmin_rates_flows(idx)
         return maxmin_class_solve_np(
             self._slot_class[idx], self._class_res, self._class_cap,
             self._capacities, self.fairness_slack)
-
-    def _maxmin_rates_flows(self, idx: np.ndarray
-                            ) -> Tuple[np.ndarray, np.ndarray]:
-        """The per-flow water-filling solve (identical rounds, no class
-        indirection); used when every class is a singleton."""
-        res = self._res[idx]                      # (F, K)
-        valid = res >= 0                          # (F, K)
-        caps = self._flow_cap[idx]                # (F,)
-        nflows = idx.size
-        nres = self._capacities.size
-        rate = np.zeros(nflows, dtype=float)
-        frozen = np.zeros(nflows, dtype=bool)
-        cap_rem = self._capacities.astype(float).copy()
-        res_clipped = np.where(valid, res, 0)
-        batch = 1.0 + self.fairness_slack + 1e-12
-        # Round-invariant buffers, hoisted out of the freeze loop.
-        counts = np.empty(nres, dtype=float)
-        share = np.empty(nres, dtype=float)
-        consumed = np.empty(nres, dtype=float)
-
-        for _ in range(nflows + nres + 1):
-            unfrozen = ~frozen
-            if not unfrozen.any():
-                break
-            members = res[unfrozen][valid[unfrozen]]
-            if members.size == 0:
-                # Remaining flows touch no capacity: bounded by caps only.
-                rate[unfrozen] = caps[unfrozen]
-                break
-            counts.fill(0.0)
-            np.add.at(counts, members, 1.0)
-            used = counts > 0
-            share.fill(np.inf)
-            share[used] = np.maximum(cap_rem[used], 0.0) / counts[used]
-            # Per-flow candidate: min share across its resources, then cap.
-            flow_share = np.where(valid, share[res_clipped], np.inf)
-            candidate = np.minimum(flow_share.min(axis=1), caps)
-            s_star = float(candidate[unfrozen].min())
-
-            freeze = unfrozen & (candidate <= s_star * batch)
-            rate[freeze] = candidate[freeze]
-            frozen[freeze] = True
-            consumed.fill(0.0)
-            flat_rate = np.repeat(candidate[freeze], MAX_RES_PER_FLOW)
-            flat_res = res_clipped[freeze].ravel()
-            flat_valid = valid[freeze].ravel()
-            np.add.at(consumed, flat_res[flat_valid], flat_rate[flat_valid])
-            cap_rem -= consumed
-
-        # Numerical safety: every active flow must make progress.
-        np.maximum(rate, 1e-12, out=rate)
-        return rate, self._capacities - cap_rem
 
     # ------------------------------------------------------------------ #
     # the sharded solver

@@ -3,22 +3,23 @@
 The max-min fair-share solve is the hottest loop of the whole DES once
 storms reach ~10⁵ concurrent flows: the numpy flow-class solver pays a
 handful of O(F) vectorised passes *per freeze round*, which flattens
-out around 10⁴ flows. This module provides a compiled implementation of
-the same per-component solve — capacity residuals, bottleneck
-selection, grant scatter — selected with ``REPRO_KERNEL``:
+out around 10⁴ flows. This module holds both implementations of the
+per-component solve — capacity residuals, bottleneck selection, grant
+scatter — selected with ``REPRO_KERNEL``:
 
-- ``python`` (default): the numpy implementation in
-  :meth:`repro.des.bandwidth.FlowNetwork._maxmin_rates`. Always
-  available, no dependencies beyond numpy.
 - ``compiled``: a C translation of the flow-class water-filling rounds,
   built on first use with the system C compiler into a content-addressed
   shared library (``~/.cache/repro/kernels``, override with
-  ``REPRO_KERNEL_CACHE``) and loaded through :mod:`ctypes`. When no C
-  compiler is available the optional :mod:`numba` dependency
-  (``pip install repro[compiled]``) jit-compiles the same algorithm;
-  if neither backend can be built, requesting ``compiled`` raises a
-  :class:`~repro.errors.SimulationError` naming both failures — loud
-  beats silently running 10x slower.
+  ``REPRO_KERNEL_CACHE``) and loaded through :mod:`ctypes`. A library
+  already in that cache loads without a compiler.
+- ``python``: the numpy solve :func:`maxmin_class_solve_np`, with no
+  dependencies beyond numpy.
+
+The default is ``compiled`` when the C kernel loads (probed once per
+process) and ``python`` otherwise. An explicit ``compiled`` on a host
+where the kernel cannot be built raises a
+:class:`~repro.errors.SimulationError` — loud beats silently running
+several times slower.
 
 Bit-identity contract
 ---------------------
@@ -67,20 +68,20 @@ __all__ = [
     "resolve_kernel",
 ]
 
-#: Use the compiled (C or numba) water-filling kernel.
+#: Use the compiled C water-filling kernel (the default when it loads).
 KERNEL_COMPILED = "compiled"
-#: Use the pure numpy water-filling solve (always available).
+#: Use the numpy water-filling solve (always available).
 KERNEL_PYTHON = "python"
-
-#: Mirrors ``repro.des.bandwidth.MAX_RES_PER_FLOW`` (asserted on import
-#: there; duplicated to keep this module importable on its own).
-_KMAX = 4
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
-    """Explicit argument beats ``REPRO_KERNEL`` beats the default."""
+    """Explicit argument beats ``REPRO_KERNEL`` beats the default, which
+    is ``compiled`` when the C kernel loads and ``python`` otherwise."""
     if kernel is None:
-        kernel = os.environ.get("REPRO_KERNEL", "").strip() or KERNEL_PYTHON
+        kernel = os.environ.get("REPRO_KERNEL", "").strip()
+        if not kernel:
+            return (KERNEL_COMPILED if _probe()[0] is not None
+                    else KERNEL_PYTHON)
     kernel = kernel.strip().lower()
     if kernel not in (KERNEL_COMPILED, KERNEL_PYTHON):
         raise SimulationError(
@@ -92,7 +93,7 @@ def resolve_kernel(kernel: Optional[str]) -> str:
 # --------------------------------------------------------------------- #
 # the C backend
 # --------------------------------------------------------------------- #
-# A direct translation of FlowNetwork._maxmin_rates' flow-class rounds.
+# A direct translation of maxmin_class_solve_np's flow-class rounds.
 # Comments reference the numpy statements being reproduced; the order of
 # every floating-point operation matches (see module docstring).
 _C_SOURCE = r"""
@@ -335,19 +336,20 @@ def _build_c_library() -> str:
     """Compile the kernel into a content-addressed ``.so``; return its path.
 
     The library name embeds a hash of the C source, so editing the
-    kernel never reuses a stale binary; concurrent builders (sweep
-    worker processes) race benignly through an atomic ``os.replace``.
+    kernel never reuses a stale binary, and a cached library needs no
+    compiler; concurrent builders (sweep worker processes) race benignly
+    through an atomic ``os.replace``.
     """
-    cc = _find_compiler()
-    if cc is None:
-        raise SimulationError(
-            "no C compiler found (tried $CC, cc, gcc, clang)")
     digest = hashlib.blake2b(_C_SOURCE.encode("utf-8"),
                              digest_size=10).hexdigest()
     cache_dir = _kernel_cache_dir()
     lib_path = os.path.join(cache_dir, f"maxmin_{digest}.so")
     if os.path.exists(lib_path):
         return lib_path
+    cc = _find_compiler()
+    if cc is None:
+        raise SimulationError(
+            "no C compiler found (tried $CC, cc, gcc, clang)")
     os.makedirs(cache_dir, exist_ok=True)
     fd, src_path = tempfile.mkstemp(suffix=".c", dir=cache_dir)
     tmp_lib = src_path[:-2] + ".so"
@@ -398,11 +400,12 @@ def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
                           ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorised flow-class water-filling over an explicit class table.
 
-    The body of ``FlowNetwork._maxmin_rates``'s class path, factored out
-    so callers that hold their own packed tables — shard workers solving
-    a sub-network, the sharded solver's reconciliation loop — run the
-    exact same floating-point operation sequence as an in-network solve.
-    Returns ``(rate, cap_used)`` like :meth:`MaxminKernel.solve`.
+    The ``python`` kernel: ``FlowNetwork._maxmin_rates`` calls it on the
+    network's interned class tables, and callers that hold their own
+    packed tables — shard workers solving a sub-network, the sharded
+    solver's reconciliation loop — run the exact same floating-point
+    operation sequence through it. Returns ``(rate, cap_used)`` like
+    :meth:`MaxminKernel.solve`.
     """
     nres = capacities.size
     batch = 1.0 + fairness_slack + 1e-12
@@ -451,7 +454,7 @@ def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
         crate[freeze] = candidate[freeze]
         cfrozen[freeze] = True
         # Scatter consumption per flow, in ascending slot order, so the
-        # floating-point accumulation matches the per-flow solve.
+        # floating-point accumulation matches a flow-by-flow solve.
         rows = inverse[freeze[inverse]]       # class row per frozen flow
         consumed.fill(0.0)
         flat_rate = np.repeat(candidate[rows], kmax)
@@ -469,7 +472,7 @@ def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
 
 
 # --------------------------------------------------------------------- #
-# the scalar spec (numba backend, and the C kernel's executable spec)
+# the scalar spec (the C kernel's executable specification)
 # --------------------------------------------------------------------- #
 def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
                           class_cap: np.ndarray, capacities: np.ndarray,
@@ -477,11 +480,10 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
                           cap_used_out: np.ndarray) -> int:
     """Scalar-loop water-filling: the C kernel's algorithm in Python.
 
-    Written in the numba-jittable subset (arrays + scalars, no dicts or
-    lists) so it serves two purposes: ``@njit``-compiled it is the
-    ``compiled`` backend on machines with numba but no C compiler, and
-    interpreted it is the executable specification the equivalence
-    tests diff the C kernel against bit-for-bit.
+    Never on a simulation path: it is the executable specification the
+    equivalence tests diff the C kernel against bit-for-bit, written
+    statement for statement like the C source (arrays and scalars only)
+    so a divergence points at one line.
     """
     nflows = flow_class.shape[0]
     nct = class_cap.shape[0]
@@ -620,32 +622,13 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
     return rounds
 
 
-def _load_numba_solver() -> Callable:
-    import numba  # optional dependency: pip install repro[compiled]
-
-    jitted = numba.njit(cache=True)(maxmin_class_solve_py)
-
-    def call(nflows, flow_class, nct, kmax, class_res, class_cap, nres,
-             capacities, fairness_slack, rate_out, cap_used_out):
-        return jitted(flow_class, class_res, class_cap, capacities,
-                      fairness_slack, rate_out, cap_used_out)
-
-    # Force compilation now so a broken numba install fails the probe
-    # (and falls through to the error message) instead of the first solve.
-    call(0, np.zeros(0, dtype=np.int64), 0, _KMAX,
-         np.zeros((0, _KMAX), dtype=np.int64), np.zeros(0),
-         0, np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
-    return call
-
-
 class MaxminKernel:
-    """Handle on a loaded compiled backend (``.backend`` is ``c`` or
-    ``numba``); ``solve`` mirrors ``FlowNetwork._maxmin_rates``."""
+    """Handle on the loaded C kernel; ``solve`` takes the arguments of
+    :func:`maxmin_class_solve_np` and returns bit-identical results."""
 
-    __slots__ = ("backend", "_fn")
+    __slots__ = ("_fn",)
 
-    def __init__(self, backend: str, fn: Callable) -> None:
-        self.backend = backend
+    def __init__(self, fn: Callable) -> None:
         self._fn = fn
 
     def solve(self, flow_class: np.ndarray, class_res: np.ndarray,
@@ -660,8 +643,8 @@ class MaxminKernel:
             rate, cap_used)
         if rounds < 0:
             raise SimulationError(
-                f"compiled maxmin kernel ({self.backend}) ran out of "
-                f"memory for {flow_class.size} flows")
+                f"compiled maxmin kernel ran out of memory for "
+                f"{flow_class.size} flows")
         return rate, cap_used
 
 
@@ -672,36 +655,27 @@ _PROBE: Optional[Tuple[Optional[MaxminKernel], Optional[str]]] = None
 
 def _probe() -> Tuple[Optional[MaxminKernel], Optional[str]]:
     global _PROBE
-    if _PROBE is not None:
-        return _PROBE
-    errors = []
-    kernel = None
-    try:
-        kernel = MaxminKernel("c", _load_c_solver())
-    except Exception as exc:  # compiler missing, cc error, bad cache dir
-        errors.append(f"C backend: {exc}")
+    if _PROBE is None:
         try:
-            kernel = MaxminKernel("numba", _load_numba_solver())
-        except Exception as exc2:
-            errors.append(f"numba backend: {exc2}")
-    _PROBE = (kernel, None if kernel else "; ".join(errors))
+            _PROBE = (MaxminKernel(_load_c_solver()), None)
+        except Exception as exc:  # compiler missing, cc error, bad cache dir
+            _PROBE = (None, str(exc))
     return _PROBE
 
 
 def compiled_kernel() -> MaxminKernel:
-    """The compiled backend, building it on first call; raises
-    :class:`~repro.errors.SimulationError` when none can be loaded."""
+    """The C kernel, building it on first call; raises
+    :class:`~repro.errors.SimulationError` when it cannot be loaded."""
     kernel, error = _probe()
     if kernel is None:
         raise SimulationError(
-            f"REPRO_KERNEL=compiled requested but no compiled backend "
-            f"is available ({error}); set REPRO_KERNEL=python or "
-            f"install a C compiler / pip install repro[compiled]")
+            f"REPRO_KERNEL=compiled requested but the C kernel cannot be "
+            f"loaded ({error}); install a C compiler (or set $CC), or "
+            f"leave REPRO_KERNEL unset to fall back to python")
     return kernel
 
 
 def kernel_status() -> str:
-    """``c``/``numba`` when a compiled backend loads, else ``unavailable``
-    (for diagnostics; never raises, but does build on first call)."""
-    kernel, _error = _probe()
-    return kernel.backend if kernel is not None else "unavailable"
+    """``c`` when the C kernel loads, else ``unavailable`` (for
+    diagnostics; never raises, but does build on first call)."""
+    return "c" if _probe()[0] is not None else "unavailable"

@@ -155,9 +155,11 @@ def env_mode_context() -> Dict[str, Any]:
     # fairness_slack the solvers batch freeze rounds differently),
     # REPRO_KERNEL and REPRO_SCHEDULER *inside* the task body, so two
     # runs with identical task arguments can differ across these modes;
-    # fold the normalised values into every cache key. (Kernel and
-    # scheduler are bit-identity-tested against their fallbacks, so for
-    # them the fold is a guard, not a correctness requirement.)
+    # fold the normalised values into every cache key. (The unset
+    # kernel resolves per host — compiled where the C kernel loads,
+    # python elsewhere — and kernel and scheduler are bit-identity-tested
+    # against their fallbacks, so for them the fold is a guard, not a
+    # correctness requirement.)
     from repro.des.bandwidth import _resolve_solver
     from repro.des.kernels import resolve_kernel
     from repro.des.sched import resolve_scheduler

@@ -12,7 +12,7 @@ Usage::
     python -m repro.tools.figures --cache --cache-dir /tmp/c fig4
     python -m repro.tools.figures --solver global fig2   # debug escape hatch
     python -m repro.tools.figures --solver sharded --shards 8 fig4
-    python -m repro.tools.figures --kernel compiled fig4  # compiled solve
+    python -m repro.tools.figures --kernel python fig4    # numpy solve
     python -m repro.tools.figures --scheduler heap fig2   # binary-heap queue
     python -m repro.tools.figures faults                  # fault degradation
     python -m repro.tools.figures --faults my_schedule.json faults
@@ -59,11 +59,11 @@ components into ``--shards N`` sub-networks (``REPRO_SHARDS``, default
 keys, so cached points never leak across solvers.
 
 ``--kernel compiled|python`` (or ``REPRO_KERNEL``) picks the
-water-filling implementation: ``python`` (the default) is the numpy
-solve, ``compiled`` runs the C/numba kernel from
-:mod:`repro.des.kernels` — bit-identical, several times faster on
-large storms, but needs a C compiler (or the ``repro[compiled]``
-extra) at first use. ``--scheduler calendar|heap`` (or
+water-filling implementation: ``compiled`` runs the C kernel from
+:mod:`repro.des.kernels` and is the default when a C compiler is found
+(or the kernel is already cached); ``python`` is the numpy solve and the
+default otherwise — bit-identical either way, the C kernel several
+times faster. ``--scheduler calendar|heap`` (or
 ``REPRO_SCHEDULER``) picks the event-queue implementation (calendar
 queue by default; the binary heap is the fallback). Both modes are
 folded into cache keys alongside the solver.

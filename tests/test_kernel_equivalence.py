@@ -4,16 +4,19 @@ Two bit-identity contracts are asserted here, on seeded storm workloads
 (not on single solves only — whole simulations, so any divergence
 compounds into visibly different completion times):
 
-- ``REPRO_KERNEL=compiled`` reproduces the numpy water-filling solve
-  **bit for bit** (``ndarray.tobytes()`` equality), at
-  ``fairness_slack=0`` and at positive slack, under both solvers;
+- ``REPRO_KERNEL=compiled`` (the default wherever the C kernel loads)
+  reproduces the ``python`` numpy water-filling solve **bit for bit**
+  (``ndarray.tobytes()`` equality), at ``fairness_slack=0`` and at
+  positive slack, under both solvers, on storms and on whole paper
+  figures;
 - ``REPRO_SCHEDULER=calendar`` pops events in exactly the same
   ``(time, priority, seq)`` order as the binary heap, so full runs are
   bit-identical.
 
 Plus direct unit tests of the C kernel against its executable Python
-specification (:func:`repro.des.kernels.maxmin_class_solve_py`) and of
-the calendar queue's ordering/resize behaviour, including the
+specification (:func:`repro.des.kernels.maxmin_class_solve_py`), of the
+default kernel resolution and its no-compiler fallback, and of the
+calendar queue's ordering/resize behaviour, including the
 empty-network and single-flow edge cases the interfaces degenerate on.
 """
 
@@ -24,7 +27,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.des import FlowNetwork, Simulator
+from repro.des import FlowNetwork, Simulator, kernels
 from repro.des.kernels import (compiled_kernel, kernel_status,
                                maxmin_class_solve_py, resolve_kernel)
 from repro.des.sched import (CalendarScheduler, HeapScheduler,
@@ -32,18 +35,20 @@ from repro.des.sched import (CalendarScheduler, HeapScheduler,
 from repro.errors import SimulationError
 
 needs_compiled = pytest.mark.skipif(kernel_status() == "unavailable",
-                                    reason="no C compiler and no numba")
+                                    reason="no C compiler")
 
 
 # --------------------------------------------------------------------- #
 # workload builders
 # --------------------------------------------------------------------- #
 def run_storm(kernel, scheduler, seed, slack=0.0, nflows=400,
-              solver="component"):
+              solver="component", distinct_caps=False):
     """A seeded storm with mixed topology: shared NICs, staggered
     targets, a fusing fabric link, rate-capped and capless flows, and
     staggered arrivals — returns per-flow end times and run invariants
-    for bit-comparison."""
+    for bit-comparison. ``distinct_caps`` gives every flow its own
+    finite rate cap, so every flow is its own class (the all-singleton
+    solve)."""
     rng = random.Random(seed)
     sim = Simulator(scheduler=scheduler)
     net = FlowNetwork(sim, fairness_slack=slack, kernel=kernel,
@@ -66,6 +71,9 @@ def run_storm(kernel, scheduler, seed, slack=0.0, nflows=400,
                                             if rng.random() < 0.7 else [])
                 cap = (math.inf if rng.random() < 0.5
                        else 1e6 * (1 + rng.randrange(50)))
+            if distinct_caps:
+                # Whole-MB draws plus a sub-MB flow index: all distinct.
+                cap = (cap if math.isfinite(cap) else 1e12) + len(flows)
             flows.append(net.transfer(res, 1e6 * (1 + rng.randrange(20)),
                                       rate_cap=cap))
 
@@ -114,12 +122,39 @@ def random_solve_instance(rng):
 # remaining seeds ride in the slow tier (`-m slow`).
 @pytest.mark.parametrize("slack", [0.0, 0.08])
 @pytest.mark.parametrize("solver", ["component", "global"])
-@pytest.mark.parametrize("seed", [0, 1] + [
-    pytest.param(s, marks=pytest.mark.slow) for s in range(2, 6)])
-def test_compiled_kernel_bit_identical_storms(seed, solver, slack):
-    expected = run_storm("python", "heap", seed, slack=slack, solver=solver)
-    got = run_storm("compiled", "heap", seed, slack=slack, solver=solver)
+@pytest.mark.parametrize("seed,distinct_caps", [
+    pytest.param(0, False, id="0"), pytest.param(1, False, id="1"),
+    pytest.param(0, True, id="distinct-caps")] + [
+    pytest.param(s, False, id=str(s), marks=pytest.mark.slow)
+    for s in range(2, 6)])
+def test_compiled_kernel_bit_identical_storms(seed, distinct_caps, solver,
+                                              slack):
+    expected = run_storm("python", "heap", seed, slack=slack, solver=solver,
+                         distinct_caps=distinct_caps)
+    got = run_storm("compiled", "heap", seed, slack=slack, solver=solver,
+                    distinct_caps=distinct_caps)
     assert got == expected
+
+
+@needs_compiled
+def test_compiled_kernel_bit_identical_figures(monkeypatch):
+    """Smoke-sized Fig. 2 and Fig. 7, at the ``Machine`` default
+    ``fairness_slack=0.08``, give ``==`` rows under both kernels."""
+    from repro.experiments import figures
+
+    # Full mode: the fast mode overrides Fig. 7's core counts.
+    for key in ("REPRO_FAST", "REPRO_PARALLEL", "REPRO_BACKEND",
+                "REPRO_TRACE"):
+        monkeypatch.delenv(key, raising=False)
+    monkeypatch.setenv("REPRO_CACHE", "0")
+    rows = {}
+    for kernel in ("python", "compiled"):
+        monkeypatch.setenv("REPRO_KERNEL", kernel)
+        rows[kernel] = (
+            figures.fig2_write_phase_kraken(scales=(48,)).rows,
+            figures.fig7_spare_strategies(kraken_cores=48,
+                                          grid5000_cores=24).rows)
+    assert rows["compiled"] == rows["python"]
 
 
 @needs_compiled
@@ -186,12 +221,54 @@ def test_python_kernel_reports_no_kernel_solves():
 
 def test_resolve_kernel_env_and_validation(monkeypatch):
     monkeypatch.delenv("REPRO_KERNEL", raising=False)
-    assert resolve_kernel(None) == "python"
+    assert resolve_kernel(None) == (
+        "python" if kernel_status() == "unavailable" else "compiled")
     monkeypatch.setenv("REPRO_KERNEL", "compiled")
     assert resolve_kernel(None) == "compiled"
     assert resolve_kernel("python") == "python"  # argument beats env
     with pytest.raises(SimulationError):
         resolve_kernel("fortran")
+
+
+def test_default_kernel_falls_back_to_python(monkeypatch):
+    """Without a loadable C kernel the default is ``python`` and runs;
+    an explicit ``compiled`` still refuses to degrade silently."""
+    monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    monkeypatch.setattr(kernels, "_PROBE",
+                        (None, "no C compiler found (forced)"))
+    assert resolve_kernel(None) == "python"
+    sim = Simulator()
+    net = FlowNetwork(sim)
+    assert net.kernel == "python"
+    link = net.add_capacity("link", 100.0)
+    net.transfer([link], 100.0)
+    net.transfer([link], 100.0)
+    sim.run()
+    assert net.completed_flows == 2
+    assert net.solver_stats["kernel_solves"] == 0
+    with pytest.raises(SimulationError, match="forced"):
+        FlowNetwork(Simulator(), kernel="compiled")
+    monkeypatch.setenv("REPRO_KERNEL", "compiled")
+    with pytest.raises(SimulationError, match="forced"):
+        FlowNetwork(Simulator())
+
+
+@needs_compiled
+def test_cached_kernel_loads_without_compiler(monkeypatch, tmp_path):
+    """A warm kernel cache is enough: no compiler is looked for."""
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path))
+    kernels._build_c_library()  # warm the cache once, with the compiler
+    monkeypatch.setattr(kernels, "_find_compiler", lambda: None)
+    monkeypatch.setattr(kernels, "_PROBE", None)
+    rate, used = compiled_kernel().solve(
+        np.zeros(2, dtype=np.int64),
+        np.array([[0, -1, -1, -1]], dtype=np.int64),
+        np.array([np.inf]), np.array([100.0]), 0.0)
+    assert rate.tolist() == [50.0, 50.0] and used.tolist() == [100.0]
+    # A cold cache without a compiler cannot load.
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cold"))
+    monkeypatch.setattr(kernels, "_PROBE", None)
+    assert kernel_status() == "unavailable"
 
 
 # --------------------------------------------------------------------- #

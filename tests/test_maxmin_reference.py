@@ -28,7 +28,7 @@ _BATCH = 1.0 + 1e-12
 KERNELS = ["python",
            pytest.param("compiled", marks=pytest.mark.skipif(
                kernel_status() == "unavailable",
-               reason="no C compiler and no numba"))]
+               reason="no C compiler"))]
 
 
 def reference_maxmin(flows, capacities):

@@ -39,7 +39,7 @@ from repro.errors import SimulationError
 KERNELS = ["python",
            pytest.param("compiled", marks=pytest.mark.skipif(
                kernel_status() == "unavailable",
-               reason="no C compiler and no numba"))]
+               reason="no C compiler"))]
 
 
 # ---------------------------------------------------------------------- #
