@@ -16,9 +16,9 @@ Five scenarios exercise the simulator's hot paths:
   *fused into one component* by a shared (non-binding) fabric link, so
   each of the 192 staggered completion batches re-solves every
   remaining flow — the water-filling solve itself dominates. Runs the
-  pure-python kernel once and the compiled kernel under both event
-  schedulers; asserts all three produce bit-identical results and that
-  the compiled kernel is at least 5x faster end-to-end;
+  pure-python kernel and the compiled kernel; asserts both produce
+  bit-identical results and that the compiled kernel is at least 5x
+  faster end-to-end;
 - ``heap_churn``: 2000 staggered short flows through one shared link —
   dominated by event-queue traffic and completion-tick scheduling;
 - ``fig2_sweep``: the full Fig. 2 driver in ``REPRO_FAST`` mode —
@@ -153,8 +153,8 @@ def bench_component_storm(nodes: int = 256, writers: int = 12,
     return result
 
 
-def _run_mega_storm(kernel: str, scheduler: str, nnodes: int,
-                    ntargets: int, writers: int):
+def _run_mega_storm(kernel: str, nnodes: int, ntargets: int,
+                    writers: int):
     """One mega-storm run: per-node NICs, staggered shared targets, and
     a huge shared fabric link that never binds but fuses the whole
     network into one contention component — so every completion batch
@@ -169,7 +169,7 @@ def _run_mega_storm(kernel: str, scheduler: str, nnodes: int,
     from repro.des import Simulator
     from repro.des.bandwidth import FlowNetwork
 
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     net = FlowNetwork(sim, kernel=kernel)
     nics = [net.add_capacity(f"nic{i}", 1.6e9) for i in range(nnodes)]
     tgts = [net.add_capacity(f"ost{j}", 45e6 * (1 + 1e-3 * j))
@@ -194,53 +194,39 @@ def _run_mega_storm(kernel: str, scheduler: str, nnodes: int,
         "ends_digest": hashlib.blake2b(ends.tobytes(),
                                        digest_size=8).hexdigest(),
     }
-    return invariants, elapsed, net.solver_stats, sim.scheduler_stats
+    return invariants, elapsed, net.solver_stats
 
 
 def bench_mega_storm(nnodes: int = 8334, ntargets: int = 192,
                      writers: int = 12, require_speedup: bool = True):
-    """100k-flow fused storm: compiled kernel vs python, both schedulers.
+    """100k-flow fused storm: compiled kernel vs python.
 
-    The compiled runs must reproduce the python results bit-identically
-    (``fairness_slack`` is 0 here) under the calendar *and* the heap
-    scheduler; the asserted >= 5x is the tentpole claim of the compiled
-    water-filling kernel."""
+    The compiled run must reproduce the python results bit-identically
+    (``fairness_slack`` is 0 here); the asserted >= 5x is the tentpole
+    claim of the compiled water-filling kernel."""
     from repro.des.kernels import kernel_status
 
+    py, wall_py, _ = _run_mega_storm("python", nnodes, ntargets, writers)
     if kernel_status() == "unavailable":
-        # No C compiler: cover what can be covered (the scheduler
-        # bit-identity) and skip the kernel comparison rather than
-        # failing environments the fallback path exists for.
+        # No C compiler: run the python kernel and skip the comparison
+        # rather than failing environments the fallback path exists for.
         assert not require_speedup, (
             "mega_storm needs the compiled kernel (a C compiler) "
             "for the full/--check run")
-        py, wall_py, _, _ = _run_mega_storm(
-            "python", "calendar", nnodes, ntargets, writers)
-        heap, wall_heap, _, _ = _run_mega_storm(
-            "python", "heap", nnodes, ntargets, writers)
-        assert py == heap, (
-            f"scheduler divergence: calendar {py} != heap {heap}")
         print(f"mega_storm: python {wall_py:.3f} s "
               f"(compiled kernel unavailable, comparison skipped)")
         result = dict(py)
         result["wall_python_s"] = round(wall_py, 3)
         return result
 
-    py, wall_py, _, _ = _run_mega_storm(
-        "python", "calendar", nnodes, ntargets, writers)
-    comp, wall_comp, stats, sched = _run_mega_storm(
-        "compiled", "calendar", nnodes, ntargets, writers)
-    heap, wall_heap, _, _ = _run_mega_storm(
-        "compiled", "heap", nnodes, ntargets, writers)
+    comp, wall_comp, stats = _run_mega_storm(
+        "compiled", nnodes, ntargets, writers)
     assert comp == py, (
         f"kernel divergence: compiled {comp} != python {py}")
-    assert heap == py, (
-        f"scheduler divergence: heap {heap} != calendar {py}")
     assert py["completed"] == py["flows"], "mega storm flows lost"
     speedup = wall_py / wall_comp
     print(f"mega_storm: compiled {wall_comp:.3f} s vs python "
-          f"{wall_py:.3f} s ({speedup:.1f}x); compiled/heap "
-          f"{wall_heap:.3f} s")
+          f"{wall_py:.3f} s ({speedup:.1f}x)")
     if require_speedup:
         assert speedup >= 5.0, (
             f"compiled kernel only {speedup:.2f}x faster than python "
@@ -248,13 +234,9 @@ def bench_mega_storm(nnodes: int = 8334, ntargets: int = 192,
     result = dict(py)
     result["wall_s"] = round(wall_comp, 3)
     result["wall_python_s"] = round(wall_py, 3)
-    result["wall_heap_sched_s"] = round(wall_heap, 3)
-    # Deterministic counters: solves must all hit the compiled kernel,
-    # and the calendar queue's window behaviour is event-sequence-exact.
+    # Deterministic counters: solves must all hit the compiled kernel.
     result["full_solves"] = stats["full_solves"]
     result["kernel_solves"] = stats["kernel_solves"]
-    result["sched_resizes"] = sched["resizes"]
-    result["sched_migrations"] = sched["migrations"]
     return result
 
 

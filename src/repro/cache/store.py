@@ -46,6 +46,7 @@ from repro.cache.keys import (
     model_fingerprint,
     task_key,
 )
+from repro.errors import ConfigurationError
 
 __all__ = ["CacheEntryInfo", "CacheStats", "ResultCache", "cache_from_env",
            "default_cache_dir"]
@@ -58,6 +59,19 @@ _HEADER_SIZE = len(_MAGIC) + _DIGEST_SIZE
 _DEFAULT_MAX_BYTES = 2 << 30
 
 _STAT_KEYS = ("hits", "misses", "bypasses", "writes", "corrupt", "evicted")
+
+
+def _size_bound(value: Any, name: str) -> int:
+    """``value`` as a byte count >= 0; ``name`` says where it came from."""
+    try:
+        bound = int(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(
+            f"{name} must be an integer number of bytes, got {value!r}"
+        ) from None
+    if bound < 0:
+        raise ConfigurationError(f"{name} must be >= 0, got {bound}")
+    return bound
 
 #: Distinguishes "no context override" from an explicit ``context=None``
 #: in :meth:`ResultCache.key_for` (``None`` is a meaningful context).
@@ -113,8 +127,10 @@ class ResultCache:
                             else fingerprint)
         if max_bytes is None:
             raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
-            max_bytes = int(raw) if raw else _DEFAULT_MAX_BYTES
-        self.max_bytes = int(max_bytes)
+            self.max_bytes = (_size_bound(raw, "REPRO_CACHE_MAX_BYTES")
+                              if raw else _DEFAULT_MAX_BYTES)
+        else:
+            self.max_bytes = _size_bound(max_bytes, "max_bytes")
         self.context = context
         self.stats = CacheStats()
         self._pending_index: Dict[str, Dict[str, Any]] = {}

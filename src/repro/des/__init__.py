@@ -3,7 +3,8 @@
 A small, fast, dependency-free DES in the style of SimPy, tailored to the
 needs of the cluster/file-system models in this package:
 
-- :class:`~repro.des.core.Simulator` — the event loop and simulated clock;
+- :class:`~repro.des.core.Simulator` — the event loop (one binary heap)
+  and simulated clock;
 - :class:`~repro.des.core.Event`, :class:`~repro.des.core.Timeout` — the
   primitive awaitables;
 - :class:`~repro.des.process.Process` — generator-coroutine processes that
@@ -11,8 +12,6 @@ needs of the cluster/file-system models in this package:
 - :mod:`~repro.des.resources` — FIFO servers, stores and priority resources;
 - :mod:`~repro.des.bandwidth` — a vectorised max-min fair-share flow model
   used for every NIC, link and storage target in the cluster models;
-- :mod:`~repro.des.sched` — pluggable event queues (calendar queue and
-  binary heap, ``REPRO_SCHEDULER``);
 - :mod:`~repro.des.kernels` — the water-filling kernels: compiled C by
   default when a C compiler is found, numpy otherwise (``REPRO_KERNEL``);
 - :mod:`~repro.des.partition` / :mod:`~repro.des.shards` — min-cut graph
@@ -25,7 +24,6 @@ needs of the cluster/file-system models in this package:
 from repro.des.core import Event, Simulator, Timeout
 from repro.des.kernels import (KERNEL_COMPILED, KERNEL_PYTHON, kernel_status,
                                resolve_kernel)
-from repro.des.sched import SCHED_CALENDAR, SCHED_HEAP, resolve_scheduler
 from repro.des.process import AllOf, AnyOf, Interrupt, Process
 from repro.des.resources import PriorityResource, Resource, Store
 from repro.des.bandwidth import (Flow, FlowNetwork, LinkCapacity,
@@ -53,8 +51,6 @@ __all__ = [
     "Process",
     "RandomStreams",
     "Resource",
-    "SCHED_CALENDAR",
-    "SCHED_HEAP",
     "SOLVER_COMPONENT",
     "SOLVER_GLOBAL",
     "SOLVER_SHARDED",
@@ -64,7 +60,6 @@ __all__ = [
     "TimeSeries",
     "kernel_status",
     "resolve_kernel",
-    "resolve_scheduler",
     "resolve_shard_workers",
     "resolve_shards",
 ]

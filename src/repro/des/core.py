@@ -1,23 +1,20 @@
 """Event loop, simulated clock and primitive events.
 
-The kernel is deliberately small: a priority queue of ``(time, priority,
-seq)`` keys mapped to :class:`Event` objects (or bare callables from the
-slim-callback API). Everything else (processes, resources, flows) is
-built on top of events and callbacks. The queue itself is pluggable —
-see :mod:`repro.des.sched` for the calendar-queue default and the
-binary-heap fallback, selected with ``REPRO_SCHEDULER`` or the
-``scheduler=`` constructor argument; all schedulers pop in the same
-``(time, priority, seq)`` total order, so the choice never changes
-simulation results.
+The kernel is deliberately small: a binary heap (:mod:`heapq`) of
+``(time, priority, seq)`` keys mapped to :class:`Event` objects (or bare
+callables from the slim-callback API). Everything else (processes,
+resources, flows) is built on top of events and callbacks. Entries pop
+in that ``(time, priority, seq)`` total order, so same-time events run
+by priority and then in submission order.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import SimulationError
-from repro.des.sched import CalendarScheduler, make_scheduler
 from repro.observe.tracer import NULL_TRACER
 
 __all__ = ["Event", "Simulator", "Timeout", "PRIORITY_FAULT",
@@ -98,9 +95,10 @@ class Event:
         """Trigger the event successfully with ``value`` after ``delay``."""
         if self._state != _PENDING:
             raise SimulationError(f"event {self!r} already triggered")
+        # Schedule first: a rejected delay leaves the event pending.
+        self.sim._schedule(self, delay, priority)
         self._value = value
         self._state = _TRIGGERED
-        self.sim._schedule(self, delay, priority)
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0,
@@ -110,9 +108,9 @@ class Event:
             raise SimulationError(f"event {self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        self.sim._schedule(self, delay, priority)
         self._exception = exception
         self._state = _TRIGGERED
-        self.sim._schedule(self, delay, priority)
         return self
 
     def _process(self) -> None:
@@ -159,21 +157,18 @@ class Simulator:
     [3.0]
     """
 
-    def __init__(self, scheduler: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._sched = make_scheduler(scheduler)
+        #: Pending ``(time, priority, seq, entry)`` tuples, a binary heap.
+        self._queue: List[Tuple[float, int, int, Any]] = []
         self._seq = 0
         self._running = False
-        #: Resolved scheduler mode ("calendar" or "heap").
-        self.scheduler = self._sched.name
         #: Instrumentation sink every model layer reaches through the
         #: simulator it already holds. The shared no-op tracer keeps the
         #: disabled hot path to one attribute load + one branch; swap in
         #: a real :class:`repro.observe.Tracer` (sim-time clock) to
         #: record — see :meth:`repro.cluster.machine.Machine.attach_tracer`.
         self.tracer = NULL_TRACER
-        if isinstance(self._sched, CalendarScheduler):
-            self._sched.on_resize = self._on_sched_resize
 
     @property
     def now(self) -> float:
@@ -183,27 +178,16 @@ class Simulator:
     @property
     def queue_depth(self) -> int:
         """Number of outstanding queue entries (events + slim callbacks)."""
-        return len(self._sched)
+        return len(self._queue)
 
     @property
-    def _heap(self) -> List[Any]:
+    def _heap(self) -> List[Tuple[float, int, int, Any]]:
         """Pending ``(time, priority, seq, entry)`` tuples in pop order.
 
-        A sorted snapshot, kept for tests and debugging; the live queue
-        is ``self._sched`` (which may not be a heap at all).
+        A sorted snapshot, kept for tests and debugging; the live heap
+        is ``self._queue``.
         """
-        return self._sched.entries()
-
-    @property
-    def scheduler_stats(self) -> Dict[str, Any]:
-        """The active scheduler's counters (shape depends on the mode)."""
-        return self._sched.stats
-
-    def _on_sched_resize(self, stats: Dict[str, Any]) -> None:
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.record_event("sched", "resize", "simulator",
-                                time=self._now, **stats)
+        return sorted(self._queue, key=lambda item: item[:3])
 
     # -- factory helpers ---------------------------------------------------
     def event(self) -> Event:
@@ -225,19 +209,22 @@ class Simulator:
         """The single queue-insertion point: every scheduling path —
         events and slim callbacks, relative and absolute — funnels
         through here, so the sequence counter (the FIFO tie-break) and
-        the scheduler interface live in exactly one place."""
+        the one check on the time live in exactly one place. The
+        comparison is written so that it also rejects NaN, which would
+        otherwise sit in the heap out of order and turn the clock into
+        NaN when popped; ``inf`` is a legal time."""
+        if not time >= self._now:
+            raise SimulationError(
+                f"cannot schedule at time={time}: event times must be "
+                f"numbers >= now={self._now}")
         self._seq += 1
-        self._sched.push(time, priority, self._seq, entry)
+        heappush(self._queue, (time, priority, self._seq, entry))
 
     def _schedule(self, event: Event, delay: float = 0.0,
                   priority: int = PRIORITY_NORMAL) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._push(self._now + delay, priority, event)
-
-    def _schedule_at(self, event: Event, time: float,
-                     priority: int = PRIORITY_NORMAL) -> None:
-        self._push(time, priority, event)
 
     def schedule_callback(self, delay: float, callback: Callable[[], None],
                           priority: int = PRIORITY_NORMAL) -> Event:
@@ -272,9 +259,6 @@ class Simulator:
         (no ``now + delay`` round-trip), so re-arming a timer at a
         previously computed timestamp is free of floating-point drift.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past (time={time}, now={self._now})")
         self._push(time, priority, callback)
 
     def schedule_callback_at(self, time: float, callback: Callable[[], None],
@@ -285,26 +269,23 @@ class Simulator:
         (no ``now + delay`` round-trip), so a caller can re-arm a timer at
         a previously computed timestamp without floating-point drift.
         """
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule in the past (time={time}, now={self._now})")
         event = Event(self)
         event.callbacks.append(lambda _evt: callback())
+        self._push(time, priority, event)
         event._state = _TRIGGERED
-        self._schedule_at(event, time, priority)
         return event
 
     # -- the loop ------------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._sched.peek_time()
+        queue = self._queue
+        return queue[0][0] if queue else math.inf
 
     def step(self) -> None:
         """Process exactly one queue entry (an event or a slim callback)."""
-        sched = self._sched
-        if not len(sched):
+        if not self._queue:
             raise SimulationError("step() on an empty event queue")
-        time, _prio, _seq, entry = sched.pop()
+        time, _prio, _seq, entry = heappop(self._queue)
         self._now = time
         if isinstance(entry, Event):
             entry._process()
@@ -315,17 +296,17 @@ class Simulator:
         """Run until the queue is empty or simulated time reaches ``until``."""
         if self._running:
             raise SimulationError("simulator is not reentrant")
+        if until is not None and not until >= self._now:
+            raise SimulationError(
+                f"run(until={until}) must be a number >= now={self._now}")
         self._running = True
-        sched = self._sched
+        queue = self._queue
         try:
             if until is None:
-                while len(sched):
+                while queue:
                     self.step()
             else:
-                if until < self._now:
-                    raise SimulationError(
-                        f"run(until={until}) is in the past (now={self._now})")
-                while len(sched) and sched.peek_time() <= until:
+                while queue and queue[0][0] <= until:
                     self.step()
                 # Advance the clock to the bound, but only for a finite
                 # bound: run(until=inf) drains the queue and leaves the
@@ -341,7 +322,7 @@ class Simulator:
         finished = []
         process.callbacks.append(finished.append)
         while not finished:
-            if not len(self._sched):
+            if not self._queue:
                 raise SimulationError(
                     "event queue exhausted before the awaited event completed")
             self.step()

@@ -20,7 +20,8 @@ class ProcessKilled(ReproError):
 
 
 class ConfigurationError(ReproError):
-    """A Damaris XML configuration file is invalid or incomplete."""
+    """A configuration input (a Damaris XML file, an environment knob)
+    is invalid or incomplete."""
 
 
 class ShmAllocationError(ReproError):

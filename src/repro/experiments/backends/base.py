@@ -11,9 +11,7 @@ in-order reassembly — so backends only move work:
 - :class:`~repro.experiments.backends.local.ProcessBackend` fans them
   over a ``ProcessPoolExecutor`` on this machine;
 - :class:`~repro.experiments.backends.remote.RemoteBackend` dials
-  TCP workers (:mod:`repro.tools.sweepworkerctl`) on other machines;
-- :class:`~repro.experiments.backends.daskback.DaskBackend` submits to
-  a Dask scheduler when ``distributed`` is installed (``repro[dask]``).
+  TCP workers (:mod:`repro.tools.sweepworkerctl`) on other machines.
 
 The contract of :meth:`Backend.run_tasks`:
 

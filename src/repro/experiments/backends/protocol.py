@@ -23,8 +23,8 @@ The handshake, worker side first::
 
 ``welcome`` carries the coordinator's run-mode environment
 (:data:`MODE_ENV_KEYS`) so a worker launched in a vanilla shell still
-runs tasks under the exact solver/kernel/scheduler modes the
-coordinator's cache keys assume. Then, repeatedly::
+runs tasks under the exact solver/kernel modes the coordinator's cache
+keys assume. Then, repeatedly::
 
     coord   -> {"type": "run", "tasks": [(task_id, SweepTask), ...]}
     worker  -> {"type": "result", "task_id": ..., "ok": True,
@@ -73,7 +73,6 @@ MODE_ENV_KEYS = (
     "REPRO_FAST",
     "REPRO_SOLVER",
     "REPRO_KERNEL",
-    "REPRO_SCHEDULER",
     "REPRO_SHARDS",
     "REPRO_SHARD_WORKERS",
     "REPRO_TRACE",

@@ -13,12 +13,12 @@ scheduling:
   already in the content-addressed store (:mod:`repro.cache`) are
   returned instantly and never reach a backend; the remaining misses go
   to a :class:`~repro.experiments.backends.Backend` — in-process
-  serial, a local process pool, TCP sweep workers on other machines
-  (:mod:`repro.experiments.backends.remote`), or a Dask cluster — and
-  are written back as they complete. Results stream in **completion
-  order** (one progress tick each, with the task's wall ``duration``
-  and ``worker`` origin) but are reassembled **by index**, so every
-  backend returns a bit-identical list;
+  serial, a local process pool, or TCP sweep workers on other machines
+  (:mod:`repro.experiments.backends.remote`) — and are written back as
+  they complete. Results stream in **completion order** (one progress
+  tick each, with the task's wall ``duration`` and ``worker`` origin)
+  but are reassembled **by index**, so every backend returns a
+  bit-identical list;
 - :func:`default_parallelism` — worker count from the
   ``REPRO_PARALLEL`` environment variable (default ``1`` = serial).
 
@@ -33,11 +33,11 @@ constructed and closed per sweep.
 Caching is off unless requested: pass an explicit
 :class:`~repro.cache.ResultCache`, or set ``REPRO_CACHE=1`` (location
 via ``REPRO_CACHE_DIR``). The normalised run-mode environment
-(:func:`env_mode_context`: ``REPRO_FAST``, solver, kernel, scheduler,
-shards) is folded into every key because drivers read those knobs
-inside the task body; a ``REPRO_TRACE`` run bypasses the cache
-entirely, since serving a hit would silently skip the trace files the
-task is expected to emit.
+(:func:`env_mode_context`: ``REPRO_FAST``, solver, kernel, shards) is
+folded into every key because drivers read those knobs inside the task
+body; a ``REPRO_TRACE`` run bypasses the cache entirely, since serving
+a hit would silently skip the trace files the task is expected to
+emit.
 
 Determinism contract: a task must not read or mutate shared state; all
 randomness must come from seeds carried in its arguments. Every task in
@@ -143,7 +143,7 @@ class SweepProgress:
     hits: int
     computed: int
     index: int
-    source: str  # "cache" | "serial" | "pool" | "remote" | "dask"
+    source: str  # "cache" | "serial" | "pool" | "remote"
     label: str = ""
     worker: str = ""
     duration: float = 0.0
@@ -152,23 +152,20 @@ class SweepProgress:
 def env_mode_context() -> Dict[str, Any]:
     # The drivers read REPRO_FAST (phase counts), REPRO_SOLVER
     # (bandwidth-share strategy — at the cluster models' nonzero
-    # fairness_slack the solvers batch freeze rounds differently),
-    # REPRO_KERNEL and REPRO_SCHEDULER *inside* the task body, so two
-    # runs with identical task arguments can differ across these modes;
-    # fold the normalised values into every cache key. (The unset
-    # kernel resolves per host — compiled where the C kernel loads,
-    # python elsewhere — and kernel and scheduler are bit-identity-tested
-    # against their fallbacks, so for them the fold is a guard, not a
-    # correctness requirement.)
+    # fairness_slack the solvers batch freeze rounds differently) and
+    # REPRO_KERNEL *inside* the task body, so two runs with identical
+    # task arguments can differ across these modes; fold the normalised
+    # values into every cache key. (The unset kernel resolves per host —
+    # compiled where the C kernel loads, python elsewhere — and the two
+    # are bit-identity-tested, so for the kernel the fold is a guard,
+    # not a correctness requirement.)
     from repro.des.bandwidth import _resolve_solver
     from repro.des.kernels import resolve_kernel
-    from repro.des.sched import resolve_scheduler
     from repro.des.shards import resolve_shards
 
     fast = os.environ.get("REPRO_FAST", "") not in ("", "0", "false")
     return {"repro_fast": fast, "repro_solver": _resolve_solver(None),
             "repro_kernel": resolve_kernel(None),
-            "repro_scheduler": resolve_scheduler(None),
             # The shard count changes (slack-bounded) sharded-solver
             # results, so it must partition the cache like the solver.
             "repro_shards": resolve_shards(None)}
@@ -245,7 +242,7 @@ def run_sweep(tasks: Iterable[SweepTask],
     """Run every task and return their results **in task order**.
 
     ``backend`` picks the execution backend for cache misses: a
-    registry name (``serial`` | ``process`` | ``remote`` | ``dask``), a
+    registry name (``serial`` | ``process`` | ``remote``), a
     ready :class:`~repro.experiments.backends.Backend` instance (the
     caller keeps ownership — useful to reuse one process pool or one
     set of remote connections across sweeps), or ``None`` to consult

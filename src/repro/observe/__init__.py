@@ -28,11 +28,7 @@ from repro.observe.export import (
     to_chrome_trace,
     to_jsonl,
 )
-from repro.observe.metrics import (
-    SCHED_COUNTERS,
-    SOLVER_COUNTERS,
-    trace_counters,
-)
+from repro.observe.metrics import SOLVER_COUNTERS, trace_counters
 from repro.observe.aggregate import (
     aggregate_spans,
     merge_intervals,
@@ -67,6 +63,5 @@ __all__ = [
     "render_summary",
     "solver_table",
     "SOLVER_COUNTERS",
-    "SCHED_COUNTERS",
     "trace_counters",
 ]

@@ -21,7 +21,6 @@ __all__ = [
     "per_target_table",
     "merge_intervals",
     "overlap_seconds",
-    "sched_table",
     "solver_table",
     "render_summary",
 ]
@@ -117,40 +116,12 @@ def solver_table(tracer: Tracer) -> List[Dict[str, object]]:
     return rows
 
 
-def sched_table(tracer: Tracer) -> List[Dict[str, object]]:
-    """One row per simulator with its final scheduler counters.
-
-    The :class:`~repro.des.core.Simulator` records a ``sched`` event on
-    every calendar-queue window move/resize whose attributes are the
-    scheduler's *cumulative* stats, so the last event per actor shows
-    how the bucket window behaved over the whole run (a heap-scheduler
-    run records no ``sched`` events and yields no rows).
-    """
-    last: Dict[str, object] = {}
-    for event in tracer.events_in("sched"):
-        last[event.actor] = event
-    rows = []
-    for actor in sorted(last):
-        event = last[actor]
-        attrs = event.attrs
-        rows.append({
-            "actor": actor,
-            "scheduler": attrs.get("scheduler", "?"),
-            "resizes": int(attrs.get("resizes", 0)),
-            "migrations": int(attrs.get("migrations", 0)),
-            "buckets": int(attrs.get("buckets", 0)),
-            "width_s": float(attrs.get("width", 0.0)),
-            "max_pending": int(attrs.get("max_pending", 0)),
-        })
-    return rows
-
-
 def backend_table(tracer: Tracer) -> List[Dict[str, object]]:
     """One row per sweep backend with its summed dispatch counters.
 
     :func:`~repro.experiments.executor.run_sweep` records one
     ``backend`` event per traced sweep whose attributes are that
-    sweep's totals; unlike solver/sched counters these are per-event
+    sweep's totals; unlike solver counters these are per-event
     (not cumulative per actor), so rows *sum* over a backend's events —
     ``requeued``/``speculative``/``discarded`` expose what the remote
     coordinator's crash recovery and straggler re-dispatch did.
@@ -236,9 +207,6 @@ def render_summary(tracer: Tracer) -> str:
     by_solver = solver_table(tracer)
     if by_solver:
         parts += ["", "-- bandwidth solver --", render_table(by_solver)]
-    by_sched = sched_table(tracer)
-    if by_sched:
-        parts += ["", "-- event scheduler --", render_table(by_sched)]
     by_backend = backend_table(tracer)
     if by_backend:
         parts += ["", "-- sweep backend --", render_table(by_backend)]

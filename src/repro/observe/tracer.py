@@ -59,7 +59,6 @@ EVENT_CATEGORIES = frozenset({
     "lock_revoke",   # an extent lock taken from its previous holder
     "queue_depth",   # event-queue depth sample
     "solver",        # bandwidth-solver counters after one recomputation
-    "sched",         # event-scheduler resize (calendar-queue window move)
     "error",         # a recoverable anomaly (e.g. server poll timeout)
     "fault",         # fault injection/recovery instants (repro.faults)
     "backend",       # sweep-backend dispatch counters for one run_sweep

@@ -87,7 +87,7 @@ class Job:
     results: List[Optional[Dict[str, Any]]] = field(default_factory=list)
     #: Per-spec provenance: "cache" | "pool" | None (not finished).
     sources: List[Optional[str]] = field(default_factory=list)
-    #: Merged solver/sched counter totals from computed specs.
+    #: Merged solver/fault counter totals from computed specs.
     counters: Dict[str, float] = field(default_factory=dict)
     error: Optional[Dict[str, Any]] = None
     events: List[Dict[str, Any]] = field(default_factory=list)

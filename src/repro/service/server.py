@@ -18,7 +18,7 @@ process owns:
 - **quotas and rate limits** (:class:`~repro.service.quotas.QuotaManager`)
   applied at submission with typed rejections;
 - a **Prometheus** ``/metrics`` page (queue depth, active jobs, cache
-  hit/miss counters, solver/scheduler/fault counters harvested from
+  hit/miss counters, solver/fault counters harvested from
   worker traces, per-tenant usage).
 
 HTTP endpoints (JSON; one request per connection):
@@ -142,7 +142,7 @@ class SweepService:
             "Store hits over hits plus misses, cumulative.")
         self._m_sim_events = self.metrics.counter(
             "repro_sim_events_total",
-            "Solver/scheduler/fault counters harvested from run traces.",
+            "Solver/fault counters harvested from run traces.",
             ("counter",))
         self._m_worker_crashes = self.metrics.counter(
             "repro_worker_crashes_total",

@@ -10,7 +10,7 @@
 Returning data instead of the live :class:`ExperimentResult` keeps the
 payload cheap to pickle, directly cacheable by :mod:`repro.cache`, and
 serveable verbatim from the results endpoint. The counters ride along so
-the server can fold solver/scheduler activity from pool workers into its
+the server can fold solver and fault activity from pool workers into its
 ``/metrics`` page — cache hits replay the stored counters too, keeping
 the totals consistent with what a cold run would have reported.
 """

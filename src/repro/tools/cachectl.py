@@ -32,6 +32,13 @@ from typing import Optional
 from repro.cache import ResultCache, default_cache_dir
 
 
+def _byte_count(text: str) -> int:
+    value = int(text)  # a ValueError becomes argparse's usage error
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _cache(args: argparse.Namespace) -> ResultCache:
     root = args.cache_dir if args.cache_dir else default_cache_dir()
     return ResultCache(root)
@@ -133,7 +140,7 @@ def main(argv: Optional[list] = None) -> int:
     sub.add_parser("stats", help="counters, entry count, total size")
     sub.add_parser("ls", help="list entries, most recently used first")
     prune = sub.add_parser("prune", help="evict entries")
-    prune.add_argument("--max-bytes", type=int, default=None,
+    prune.add_argument("--max-bytes", type=_byte_count, default=None,
                        help="LRU-evict down to this size (default: the "
                             "configured bound, REPRO_CACHE_MAX_BYTES)")
     prune.add_argument("--stale", action="store_true",

@@ -13,7 +13,6 @@ Usage::
     python -m repro.tools.figures --solver global fig2   # debug escape hatch
     python -m repro.tools.figures --solver sharded --shards 8 fig4
     python -m repro.tools.figures --kernel python fig4    # numpy solve
-    python -m repro.tools.figures --scheduler heap fig2   # binary-heap queue
     python -m repro.tools.figures faults                  # fault degradation
     python -m repro.tools.figures --faults my_schedule.json faults
     python -m repro.tools.figures --backend remote \\
@@ -23,15 +22,13 @@ Usage::
 independent sweep configurations of each driver out over ``N`` worker
 processes; results are bit-identical to a serial run.
 
-``--backend serial|process|remote|dask`` (or ``REPRO_BACKEND``) picks
-the sweep-execution backend: ``process`` (the default) is the local
-pool sized by ``--parallel``; ``remote`` ships cache misses to TCP
-workers launched with ``python -m repro.tools.sweepworkerctl serve``
-on this or other machines — ``--workers host:port,host:port`` (or
-``REPRO_WORKERS``) says where; ``dask`` submits to a Dask cluster
-(needs the ``repro[dask]`` extra; scheduler address via
-``REPRO_DASK_SCHEDULER``, else a local cluster). Every backend returns
-bit-identical results; see the README's "Distributed sweeps" section.
+``--backend serial|process|remote`` (or ``REPRO_BACKEND``) picks the
+sweep-execution backend: ``process`` (the default) is the local pool
+sized by ``--parallel``; ``remote`` ships cache misses to TCP workers
+launched with ``python -m repro.tools.sweepworkerctl serve`` on this or
+other machines — ``--workers host:port,host:port`` (or
+``REPRO_WORKERS``) says where. Every backend returns bit-identical
+results; see the README's "Distributed sweeps" section.
 
 ``--trace DIR`` (or ``REPRO_TRACE=DIR``) records a structured trace of
 every sweep configuration into ``DIR/<label>.jsonl``; inspect them with
@@ -63,10 +60,8 @@ water-filling implementation: ``compiled`` runs the C kernel from
 :mod:`repro.des.kernels` and is the default when a C compiler is found
 (or the kernel is already cached); ``python`` is the numpy solve and the
 default otherwise — bit-identical either way, the C kernel several
-times faster. ``--scheduler calendar|heap`` (or
-``REPRO_SCHEDULER``) picks the event-queue implementation (calendar
-queue by default; the binary heap is the fallback). Both modes are
-folded into cache keys alongside the solver.
+times faster. The kernel is folded into cache keys alongside the
+solver.
 
 ``--faults PATH`` (or ``REPRO_FAULTS=PATH``) points the ``faults``
 driver at a fault-schedule JSON (see ``examples/fault_schedule.json``
@@ -119,7 +114,7 @@ def main(argv=None) -> int:
             backend = argv[at + 1]
         except IndexError:
             print("--backend requires a mode "
-                  "(serial|process|remote|dask)", file=sys.stderr)
+                  "(serial|process|remote)", file=sys.stderr)
             return 2
         from repro.experiments.backends import BACKENDS
         if backend not in BACKENDS:
@@ -204,21 +199,6 @@ def main(argv=None) -> int:
         del argv[at:at + 2]
         # FlowNetwork reads this when each sweep worker builds its machine.
         os.environ["REPRO_KERNEL"] = kernel
-    if "--scheduler" in argv:
-        at = argv.index("--scheduler")
-        try:
-            scheduler = argv[at + 1]
-        except IndexError:
-            print("--scheduler requires a mode (calendar|heap)",
-                  file=sys.stderr)
-            return 2
-        if scheduler not in ("calendar", "heap"):
-            print(f"--scheduler must be 'calendar' or 'heap', "
-                  f"got {scheduler!r}", file=sys.stderr)
-            return 2
-        del argv[at:at + 2]
-        # Simulator reads this when each sweep worker builds its machine.
-        os.environ["REPRO_SCHEDULER"] = scheduler
     if "--faults" in argv:
         at = argv.index("--faults")
         try:

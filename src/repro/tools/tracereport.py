@@ -7,22 +7,18 @@ Usage::
     python -m repro.tools.tracereport trace.jsonl --by category
     python -m repro.tools.tracereport trace.jsonl --by target
     python -m repro.tools.tracereport trace.jsonl --by solver
-    python -m repro.tools.tracereport trace.jsonl --by sched
     python -m repro.tools.tracereport trace.jsonl --by backend
     python -m repro.tools.tracereport trace.jsonl --chrome out.json
 
-The summary shows per-category, per-actor, per-storage-target,
-bandwidth-solver and event-scheduler tables plus the
-persist-vs-write_phase overlap (the structural form of the paper's
-jitter-hiding claim). The solver table reports how the flow-network
-share recomputations were served: full water-filling solves vs
-component-partitioned solves vs incremental fast-path grants, and
-which water-filling kernel (python/compiled) served them; traces
-recorded with ``REPRO_SOLVER=sharded`` additionally carry the shard
-counters (shard count, shard solves, cut bytes, capacity imbalance
-and reconciliation iterations). The sched
-table reports the calendar-queue scheduler's window resizes and
-migrations. The backend table (``--by backend``; appears in the
+The summary shows per-category, per-actor, per-storage-target and
+bandwidth-solver tables plus the persist-vs-write_phase overlap (the
+structural form of the paper's jitter-hiding claim). The solver table
+reports how the flow-network share recomputations were served: full
+water-filling solves vs component-partitioned solves vs incremental
+fast-path grants, and which water-filling kernel (python/compiled)
+served them; traces recorded with ``REPRO_SOLVER=sharded`` additionally
+carry the shard counters (shard count, shard solves, cut bytes,
+capacity imbalance and reconciliation iterations). The backend table (``--by backend``; appears in the
 summary when a ``REPRO_TRACE`` sweep recorded dispatch counters to
 ``sweep-backend.jsonl``) shows how each sweep backend moved its tasks:
 dispatches, completions, crash-recovery requeues, speculative
@@ -45,12 +41,11 @@ from repro.observe.aggregate import (
     per_category_table,
     per_target_table,
     render_summary,
-    sched_table,
     solver_table,
 )
 from repro.observe.export import dump_chrome_trace, load_jsonl
 
-_GROUPINGS = ("actor", "category", "target", "solver", "sched", "backend")
+_GROUPINGS = ("actor", "category", "target", "solver", "backend")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -107,8 +102,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(render_table(per_target_table(tracer)))
     elif grouping == "solver":
         print(render_table(solver_table(tracer)))
-    elif grouping == "sched":
-        print(render_table(sched_table(tracer)))
     elif grouping == "backend":
         print(render_table(backend_table(tracer)))
     else:

@@ -24,6 +24,7 @@ from repro.cache import (
     task_key,
 )
 from repro.cache.store import _MAGIC
+from repro.errors import ConfigurationError
 
 
 def _fn(x, y=1):
@@ -245,6 +246,19 @@ class TestResultCacheStore:
         survivors = {info.key for info in cache.entries()}
         assert survivors == {keys[2], keys[3]}
         assert cache.stats.evicted == 2
+
+    @pytest.mark.parametrize("raw", ["1G", "-1"])
+    def test_bad_env_size_bound_raises(self, tmp_path, monkeypatch, raw):
+        # "1G" is not an integer; "-1" would evict every entry right
+        # after it is written.
+        monkeypatch.setenv("REPRO_CACHE_MAX_BYTES", raw)
+        with pytest.raises(ConfigurationError,
+                           match="REPRO_CACHE_MAX_BYTES"):
+            self._cache(tmp_path)
+
+    def test_negative_size_bound_argument_raises(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="max_bytes"):
+            self._cache(tmp_path, max_bytes=-1)
 
     def test_prune_stale_drops_old_model_entries(self, tmp_path):
         old = self._cache(tmp_path, fingerprint="model-v1")

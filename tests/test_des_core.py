@@ -4,7 +4,6 @@ import pytest
 
 from repro.des import Simulator
 from repro.des.core import Event, Timeout, PRIORITY_URGENT, PRIORITY_LATE
-from repro.des.sched import CalendarScheduler, HeapScheduler
 from repro.errors import SimulationError
 
 
@@ -288,42 +287,9 @@ class TestSlimCallbacks:
         seqs = sorted(seq for _t, _p, seq, _e in sim._heap)
         assert seqs == [1, 2, 3]
 
-
-class TestSchedulerSelection:
-    """The pluggable event queue behind the Simulator (REPRO_SCHEDULER)."""
-
-    def test_default_is_calendar(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
+    def test_time_priority_fifo_order(self):
+        # The full ordering contract: time, then priority, then FIFO.
         sim = Simulator()
-        assert sim.scheduler == "calendar"
-        assert isinstance(sim._sched, CalendarScheduler)
-
-    def test_explicit_argument(self):
-        assert isinstance(Simulator(scheduler="heap")._sched, HeapScheduler)
-        assert isinstance(Simulator(scheduler="calendar")._sched,
-                          CalendarScheduler)
-
-    def test_env_fallback_and_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-        assert Simulator().scheduler == "heap"
-        assert Simulator(scheduler="calendar").scheduler == "calendar"
-
-    def test_invalid_scheduler_raises(self):
-        with pytest.raises(SimulationError):
-            Simulator(scheduler="fifo")
-
-    def test_scheduler_stats_exposed(self):
-        sim = Simulator(scheduler="calendar")
-        sim.timeout(1.0)
-        stats = sim.scheduler_stats
-        assert stats["scheduler"] == "calendar"
-        assert stats["pending"] == 1
-
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    def test_behaviour_parity(self, scheduler):
-        # The full ordering contract — time, then priority, then FIFO —
-        # holds identically under both queue implementations.
-        sim = Simulator(scheduler=scheduler)
         seen = []
         sim.schedule_callback(2.0, lambda: seen.append("t2"))
         sim.call_later(1.0, lambda: seen.append("late"),

@@ -1,26 +1,21 @@
-"""Randomized cross-validation: compiled kernel and calendar scheduler.
+"""Randomized cross-validation: compiled kernel and event-queue order.
 
-Two bit-identity contracts are asserted here, on seeded storm workloads
-(not on single solves only — whole simulations, so any divergence
-compounds into visibly different completion times):
-
-- ``REPRO_KERNEL=compiled`` (the default wherever the C kernel loads)
-  reproduces the ``python`` numpy water-filling solve **bit for bit**
-  (``ndarray.tobytes()`` equality), at ``fairness_slack=0`` and at
-  positive slack, under both solvers, on storms and on whole paper
-  figures;
-- ``REPRO_SCHEDULER=calendar`` pops events in exactly the same
-  ``(time, priority, seq)`` order as the binary heap, so full runs are
-  bit-identical.
+The bit-identity contract asserted here, on seeded storm workloads (not
+on single solves only — whole simulations, so any divergence compounds
+into visibly different completion times): ``REPRO_KERNEL=compiled`` (the
+default wherever the C kernel loads) reproduces the ``python`` numpy
+water-filling solve **bit for bit** (``ndarray.tobytes()`` equality), at
+``fairness_slack=0`` and at positive slack, under both solvers, on
+storms and on whole paper figures.
 
 Plus direct unit tests of the C kernel against its executable Python
 specification (:func:`repro.des.kernels.maxmin_class_solve_py`), of the
 default kernel resolution and its no-compiler fallback, and of the
-calendar queue's ordering/resize behaviour, including the
-empty-network and single-flow edge cases the interfaces degenerate on.
+simulator's event queue: exact ``(time, priority, seq)`` pop order and
+the rejection of past and NaN times, including the empty-network and
+single-flow edge cases the interfaces degenerate on.
 """
 
-import heapq
 import math
 import random
 
@@ -30,8 +25,6 @@ import pytest
 from repro.des import FlowNetwork, Simulator, kernels
 from repro.des.kernels import (compiled_kernel, kernel_status,
                                maxmin_class_solve_py, resolve_kernel)
-from repro.des.sched import (CalendarScheduler, HeapScheduler,
-                             make_scheduler, resolve_scheduler)
 from repro.errors import SimulationError
 
 needs_compiled = pytest.mark.skipif(kernel_status() == "unavailable",
@@ -41,8 +34,8 @@ needs_compiled = pytest.mark.skipif(kernel_status() == "unavailable",
 # --------------------------------------------------------------------- #
 # workload builders
 # --------------------------------------------------------------------- #
-def run_storm(kernel, scheduler, seed, slack=0.0, nflows=400,
-              solver="component", distinct_caps=False):
+def run_storm(kernel, seed, slack=0.0, nflows=400, solver="component",
+              distinct_caps=False):
     """A seeded storm with mixed topology: shared NICs, staggered
     targets, a fusing fabric link, rate-capped and capless flows, and
     staggered arrivals — returns per-flow end times and run invariants
@@ -50,7 +43,7 @@ def run_storm(kernel, scheduler, seed, slack=0.0, nflows=400,
     finite rate cap, so every flow is its own class (the all-singleton
     solve)."""
     rng = random.Random(seed)
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     net = FlowNetwork(sim, fairness_slack=slack, kernel=kernel,
                       solver=solver)
     nics = [net.add_capacity(f"nic{i}", 1e9 * (1 + 0.01 * i))
@@ -129,9 +122,9 @@ def random_solve_instance(rng):
     for s in range(2, 6)])
 def test_compiled_kernel_bit_identical_storms(seed, distinct_caps, solver,
                                               slack):
-    expected = run_storm("python", "heap", seed, slack=slack, solver=solver,
+    expected = run_storm("python", seed, slack=slack, solver=solver,
                          distinct_caps=distinct_caps)
-    got = run_storm("compiled", "heap", seed, slack=slack, solver=solver,
+    got = run_storm("compiled", seed, slack=slack, solver=solver,
                     distinct_caps=distinct_caps)
     assert got == expected
 
@@ -167,8 +160,8 @@ def test_compiled_kernel_empty_network():
 
 @needs_compiled
 def test_compiled_kernel_single_flow():
-    expected = run_storm("python", "heap", seed=1, nflows=1)
-    got = run_storm("compiled", "heap", seed=1, nflows=1)
+    expected = run_storm("python", seed=1, nflows=1)
+    got = run_storm("compiled", seed=1, nflows=1)
     assert got == expected
 
 
@@ -272,75 +265,75 @@ def test_cached_kernel_loads_without_compiler(monkeypatch, tmp_path):
 
 
 # --------------------------------------------------------------------- #
-# calendar scheduler ≡ heap scheduler
+# the event queue
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("slack", [0.0, 0.08])
-@pytest.mark.parametrize("seed", [0, 1] + [
-    pytest.param(s, marks=pytest.mark.slow) for s in range(2, 6)])
-def test_calendar_scheduler_bit_identical_storms(seed, slack):
-    expected = run_storm("python", "heap", seed, slack=slack)
-    got = run_storm("python", "calendar", seed, slack=slack)
-    assert got == expected
-
-
-def test_calendar_scheduler_empty_and_single_event():
-    sim = Simulator(scheduler="calendar")
-    sim.run()  # empty queue: no-op
-    assert sim.now == 0.0
-    sim.timeout(1e6)  # lands in the far-heap, needs a window advance
-    sim.run()
-    assert sim.now == 1e6
-
-
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_scheduler_pop_order_randomized(scheduler):
-    """Direct queue-level check: pushes with random times/priorities in
-    random order pop in exact (time, priority, seq) order."""
+def test_scheduler_pop_order_randomized():
+    """Queue-level check: entries pushed with random times and
+    priorities, in random order, pop in exact (time, priority, seq)
+    order."""
     rng = random.Random(42)
-    sched = make_scheduler(scheduler)
+    sim = Simulator()
     items = []
-    seq = 0
-    watermark = 0.0  # pushes must stay at/after the last popped time
+    popped = []
     for _ in range(2000):
-        t = watermark + rng.choice(
+        t = sim.now + rng.choice(
             [rng.uniform(0, 1e-6), rng.uniform(0, 100.0),
              rng.uniform(1e6, 1e9), math.inf])
-        prio = rng.randrange(3)
-        seq += 1
-        items.append((t, prio, seq))
-        sched.push(t, prio, seq, f"payload{seq}")
-        # Interleave pops so the window advances mid-stream.
-        if rng.random() < 0.3 and len(sched):
-            items.remove(min(items))
-            watermark = sched.pop()[0]
-    popped = []
-    while len(sched):
-        t, prio, seq, _entry = sched.pop()
-        popped.append((t, prio, seq))
+        key = (t, rng.randrange(3), len(items) + 1)  # seq = push count
+        items.append(key)
+        sim.call_at(t, lambda key=key: popped.append(key), priority=key[1])
+        # Interleave pops so later pushes land after a moving clock.
+        if rng.random() < 0.3:
+            sim.step()
+    sim.run()
     assert popped == sorted(items)
-    with pytest.raises(IndexError):
-        sched.pop()
-
-
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_schedule_into_past_raises(scheduler):
-    """Regression: the calendar queue used to clamp a push earlier than
-    the last popped time into bucket 0 and silently pop it out of order.
-    Both schedulers now reject such pushes identically."""
-    sched = make_scheduler(scheduler)
-    sched.push(10.0, 1, 0, "a")
-    sched.push(20.0, 1, 1, "b")
-    assert sched.pop()[0] == 10.0
     with pytest.raises(SimulationError):
-        sched.push(5.0, 1, 2, "too late")
-    # Pushing AT the watermark stays legal (same-timestamp callbacks).
-    sched.push(10.0, 0, 3, "same instant")
-    assert [sched.pop()[2] for _ in range(2)] == [3, 1]
+        sim.step()
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-def test_simulator_call_at_past_raises(scheduler):
-    sim = Simulator(scheduler=scheduler)
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("schedule", [
+    pytest.param(lambda sim: sim.call_at(5.0, lambda: None),
+                 id="call_at-past"),
+    pytest.param(lambda sim: sim.schedule_callback_at(5.0, lambda: None),
+                 id="schedule_callback_at-past"),
+    pytest.param(lambda sim: sim.timeout(_NAN), id="timeout-nan"),
+    pytest.param(lambda sim: sim.call_later(_NAN, lambda: None),
+                 id="call_later-nan"),
+    pytest.param(lambda sim: sim.call_at(_NAN, lambda: None),
+                 id="call_at-nan"),
+    pytest.param(lambda sim: sim.schedule_callback_at(_NAN, lambda: None),
+                 id="schedule_callback_at-nan"),
+    pytest.param(lambda sim: sim.event().succeed(delay=_NAN),
+                 id="succeed-nan"),
+    pytest.param(lambda sim: sim.run(until=_NAN), id="run-until-nan"),
+])
+def test_schedule_into_past_raises(schedule):
+    """A time before the clock, or NaN, is rejected on every path onto
+    the queue and leaves the queue as it was: a NaN time would sit in
+    the heap out of order and leave the clock at NaN."""
+    sim = Simulator()
+    seen = []
+    sim.call_at(10.0, lambda: seen.append("a"))
+    sim.call_at(20.0, lambda: seen.append("b"))
+    sim.step()
+    assert sim.now == 10.0
+    with pytest.raises(SimulationError):
+        schedule(sim)
+    assert sim.queue_depth == 1
+    # Scheduling AT the current time stays legal (same-timestamp
+    # callbacks), and so does inf.
+    sim.call_at(10.0, lambda: seen.append("same instant"), priority=0)
+    sim.call_at(math.inf, lambda: seen.append("inf"))
+    sim.run()
+    assert seen == ["a", "same instant", "b", "inf"]
+    assert sim.now == math.inf
+
+
+def test_simulator_call_at_past_raises():
+    sim = Simulator()
     sim.timeout(10.0)
     sim.run()
     assert sim.now == 10.0
@@ -348,84 +341,10 @@ def test_simulator_call_at_past_raises(scheduler):
         sim.call_at(5.0, lambda: None)
 
 
-def test_calendar_resizes_and_stats():
-    sched = CalendarScheduler()
-    fired = []
-    sched.on_resize = fired.append
-    for seq in range(2000):
-        sched.push(float(seq) * 7.3, 1, seq, None)
-    while len(sched):
-        sched.pop()
-    stats = sched.stats
-    assert stats["scheduler"] == "calendar"
-    assert stats["resizes"] >= 1
-    assert stats["migrations"] >= 1
-    assert stats["max_pending"] == 2000
-    assert fired and fired[-1]["resizes"] == stats["resizes"]
-
-
-def test_calendar_entries_snapshot_sorted():
-    sched = CalendarScheduler()
-    for seq, t in enumerate([5.0, 1.0, 1e9, 3.0, math.inf]):
-        sched.push(t, 1, seq, None)
-    times = [item[0] for item in sched.entries()]
-    assert times == sorted(times)
-    assert len(sched) == 5
-
-
-def test_heap_scheduler_stats():
-    sched = HeapScheduler()
-    sched.push(1.0, 1, 1, None)
-    assert sched.stats == {"scheduler": "heap", "pending": 1}
-    assert sched.peek_time() == 1.0
-    sched.pop()
-    assert sched.peek_time() == math.inf
-
-
 def test_simulator_heap_property_is_sorted_snapshot():
-    sim = Simulator(scheduler="calendar")
+    sim = Simulator()
     sim.call_later(2.0, lambda: None)
     sim.call_later(1.0, lambda: None)
     snapshot = sim._heap
     assert [entry[0] for entry in snapshot] == [1.0, 2.0]
     assert sim.queue_depth == 2
-
-
-def test_resolve_scheduler_env_and_validation(monkeypatch):
-    monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-    assert resolve_scheduler(None) == "calendar"
-    monkeypatch.setenv("REPRO_SCHEDULER", "heap")
-    assert resolve_scheduler(None) == "heap"
-    sim = Simulator()
-    assert sim.scheduler == "heap"
-    assert isinstance(sim._sched, HeapScheduler)
-    with pytest.raises(SimulationError):
-        Simulator(scheduler="splay-tree")
-
-
-def test_scheduler_tracer_records_resizes():
-    """A calendar-queue window move surfaces as a ``sched`` trace event
-    (the counter tracereport's ``--by sched`` table aggregates)."""
-    from repro.observe.tracer import Tracer
-
-    sim = Simulator(scheduler="calendar")
-    tracer = Tracer(clock=lambda: sim.now, clock_name="sim")
-    sim.tracer = tracer
-    for k in range(200):
-        sim.call_later(13.7 * k, lambda: None)
-    sim.run()
-    events = tracer.events_in("sched")
-    assert events, "no sched events recorded for a resizing run"
-    assert events[-1].attrs["scheduler"] == "calendar"
-    assert events[-1].attrs["resizes"] >= 1
-
-
-def test_heap_fallback_regime_far_heap():
-    """Sparse, widely-spaced events keep working (and stay ordered)
-    through the far-heap fallback."""
-    sim = Simulator(scheduler="calendar")
-    seen = []
-    for t in (1e12, 3.0, 1e6, 0.5, math.inf and 7e7):
-        sim.call_at(t, lambda t=t: seen.append(t))
-    sim.run()
-    assert seen == sorted(seen)

@@ -3,8 +3,8 @@
 Each test launches real ``sweepworkerctl serve`` subprocesses (ephemeral
 ports published through ``--port-file``) and drives them through
 ``run_sweep``/``RemoteBackend``. Covered here: the bit-identity
-determinism matrix serial ≡ process ≡ remote over solver × scheduler ×
-kernel modes (which also exercises the welcome-frame env passthrough),
+determinism matrix serial ≡ process ≡ remote over the kernel and fast
+modes (which also exercises the welcome-frame env passthrough),
 worker SIGKILL mid-sweep with zero lost or duplicated results,
 fingerprint-mismatch handshake rejection, straggler re-dispatch with
 loser discard, task-error propagation, warm-cache admission that never
@@ -35,9 +35,9 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Environment knobs that must not leak from the test runner into
 #: worker subprocesses (the welcome frame is what configures them).
 _MODE_KEYS = ("REPRO_FAST", "REPRO_SOLVER", "REPRO_KERNEL",
-              "REPRO_SCHEDULER", "REPRO_SHARDS", "REPRO_SHARD_WORKERS",
-              "REPRO_TRACE", "REPRO_CACHE", "REPRO_PARALLEL",
-              "REPRO_BACKEND", "REPRO_WORKERS")
+              "REPRO_SHARDS", "REPRO_SHARD_WORKERS", "REPRO_TRACE",
+              "REPRO_CACHE", "REPRO_PARALLEL", "REPRO_BACKEND",
+              "REPRO_WORKERS")
 
 
 def _worker_env():
@@ -133,8 +133,8 @@ def _result_bits(result):
     )
 
 
-def _small_specs():
-    return [
+def _small_specs(write_phases=True):
+    specs = [
         {"preset": "grid5000", "ncores": 24,
          "strategy": {"kind": "damaris"}, "seed": 7, "write_phases": 1},
         {"preset": "grid5000", "ncores": 24,
@@ -142,6 +142,10 @@ def _small_specs():
         {"preset": "grid5000", "ncores": 48,
          "strategy": {"kind": "damaris"}, "seed": 11, "write_phases": 1},
     ]
+    if not write_phases:
+        for spec in specs:
+            del spec["write_phases"]
+    return specs
 
 
 class TestDeterminismMatrix:
@@ -149,21 +153,22 @@ class TestDeterminismMatrix:
 
     The remote leg doubles as the env-passthrough test: the workers are
     launched in a *vanilla* environment, so they only produce identical
-    bits if the welcome frame really carries the coordinator's
-    solver/scheduler/kernel modes across the wire.
+    bits if the welcome frame really carries the coordinator's modes
+    across the wire. The ``REPRO_FAST`` row runs specs without
+    ``write_phases``, whose phase count (and so whose result) depends on
+    that variable: a worker that dropped it would fail the comparison.
     """
 
     MATRIX = [
-        {"REPRO_SOLVER": "component", "REPRO_SCHEDULER": "calendar"},
-        {"REPRO_SOLVER": "global", "REPRO_SCHEDULER": "heap"},
-        {"REPRO_SOLVER": "sharded", "REPRO_SCHEDULER": "calendar",
-         "REPRO_SHARDS": "2"},
+        ({}, True),
+        ({"REPRO_KERNEL": "python"}, True),
+        ({"REPRO_FAST": "1"}, False),
     ]
 
     def test_matrix_bit_identity(self, fleet, monkeypatch):
-        tasks = [SweepTask(run_spec, (spec,)) for spec in _small_specs()]
-        monkeypatch.setenv("REPRO_WORKERS", ",".join(fleet))
-        for modes in self.MATRIX:
+        for modes, write_phases in self.MATRIX:
+            tasks = [SweepTask(run_spec, (spec,))
+                     for spec in _small_specs(write_phases)]
             for key in _MODE_KEYS:
                 monkeypatch.delenv(key, raising=False)
             monkeypatch.setenv("REPRO_WORKERS", ",".join(fleet))

@@ -17,7 +17,7 @@ Three layers, tested bottom-up:
   (heavy cut, reconciliation over budget) falling back to the exact
   solve, plus the shard counters in ``solver_stats``, the trace stream
   and ``tracereport``. A randomized storm suite crosses the sharded
-  solver with both kernels and both event schedulers.
+  solver with both kernels.
 """
 
 import math
@@ -209,7 +209,7 @@ def test_resolve_shard_workers_warns_on_malformed(monkeypatch):
 
 def test_network_validates_every_mode_listing_options(monkeypatch):
     """Construction must fail loudly on any bad mode value, naming the
-    valid options — for the solver, the kernel and the scheduler alike."""
+    valid options — for the solver and the kernel alike."""
     with pytest.raises(SimulationError) as err:
         FlowNetwork(Simulator(), solver="quantum")
     for option in ("component", "global", "sharded"):
@@ -225,17 +225,9 @@ def test_network_validates_every_mode_listing_options(monkeypatch):
     monkeypatch.setenv("REPRO_KERNEL", "rust")
     with pytest.raises(SimulationError, match="REPRO_KERNEL"):
         FlowNetwork(Simulator())
-    monkeypatch.delenv("REPRO_KERNEL")
-    with pytest.raises(SimulationError) as err:
-        Simulator(scheduler="wheel")
-    for option in ("calendar", "heap"):
-        assert option in str(err.value)
-    monkeypatch.setenv("REPRO_SCHEDULER", "ladder")
-    with pytest.raises(SimulationError, match="REPRO_SCHEDULER"):
-        Simulator()
     # Shard knobs are validated at construction even when the solver
     # that would use them is not selected.
-    monkeypatch.delenv("REPRO_SCHEDULER")
+    monkeypatch.delenv("REPRO_KERNEL")
     monkeypatch.setenv("REPRO_SHARDS", "lots")
     with pytest.raises(SimulationError, match="REPRO_SHARDS"):
         FlowNetwork(Simulator(), solver="component")
@@ -334,7 +326,7 @@ def test_pool_rejects_bad_worker_count():
 # the sharded FlowNetwork solver
 # ---------------------------------------------------------------------- #
 def _mega_component(solver, fairness_slack=0.05, shards=None, kernel=None,
-                    scheduler=None, shard_workers=None, groups=4,
+                    shard_workers=None, groups=4,
                     res_per_group=4, writers=3, run_until=None):
     """One weakly coupled mega-component in the Damaris shared-OST shape.
 
@@ -344,7 +336,7 @@ def _mega_component(solver, fairness_slack=0.05, shards=None, kernel=None,
     chain of thin bridge flows. Returns the network after the first
     solve (``run_until=None``) or after running to ``run_until``.
     """
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     net = FlowNetwork(sim, solver=solver, fairness_slack=fairness_slack,
                       shards=shards, kernel=kernel,
                       shard_workers=shard_workers)
@@ -508,13 +500,13 @@ def test_sharded_worker_pool_matches_in_process():
 
 
 # ---------------------------------------------------------------------- #
-# randomized storm equivalence: solver x kernel x scheduler
+# randomized storm equivalence: solver x kernel
 # ---------------------------------------------------------------------- #
 def _bridged_storm(solver, seed, fairness_slack, kernel=None,
-                   scheduler=None, nodes=8, writers=4):
+                   nodes=8, writers=4):
     """Randomized arrivals/cancellations on a bridged multi-node net."""
     rng = np.random.default_rng(seed)
-    sim = Simulator(scheduler=scheduler)
+    sim = Simulator()
     net = FlowNetwork(sim, solver=solver, fairness_slack=fairness_slack,
                       kernel=kernel)
     nics = [net.add_capacity(f"nic{i}", 1e9) for i in range(nodes)]
@@ -557,13 +549,10 @@ def _bridged_storm(solver, seed, fairness_slack, kernel=None,
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("scheduler", ["calendar", "heap"])
 @pytest.mark.parametrize("seed", range(3))
-def test_storm_sharded_bit_identical_at_zero_slack(seed, scheduler, kernel):
-    shrd = _bridged_storm(SOLVER_SHARDED, seed, 0.0, kernel=kernel,
-                          scheduler=scheduler)
-    glob = _bridged_storm(SOLVER_GLOBAL, seed, 0.0, kernel=kernel,
-                          scheduler=scheduler)
+def test_storm_sharded_bit_identical_at_zero_slack(seed, kernel):
+    shrd = _bridged_storm(SOLVER_SHARDED, seed, 0.0, kernel=kernel)
+    glob = _bridged_storm(SOLVER_GLOBAL, seed, 0.0, kernel=kernel)
     assert shrd["completions"] == glob["completions"]
     assert shrd["bytes_moved"] == glob["bytes_moved"]
     assert shrd["completed"] == glob["completed"]

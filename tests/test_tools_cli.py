@@ -89,6 +89,15 @@ class TestCachectl:
                         "verify", check=False)
         assert proc.returncode != 0
 
+    def test_prune_rejects_negative_bound(self, tmp_path):
+        store = tmp_path / "store"
+        _seed_store(store)
+        base = ("repro.tools.cachectl", "--cache-dir", str(store))
+        proc = run_tool(*base, "prune", "--max-bytes", "-5", check=False)
+        assert proc.returncode == 2
+        assert "--max-bytes" in proc.stderr
+        assert "entries:          3" in run_tool(*base, "stats").stdout
+
 
 # --------------------------------------------------------------------- #
 # tracereport (committed fixture trace)
@@ -100,7 +109,6 @@ class TestTracereport:
 
     @pytest.mark.parametrize("by,expect", [
         ("solver", "flows_solved"),
-        ("sched", "migrations"),
         ("actor", "actor"),
     ])
     def test_by_tables(self, by, expect):
