@@ -41,6 +41,8 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from repro.config import TASK_ENV  # noqa: E402
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                              "BENCH_distributed_sweep.json")
@@ -52,10 +54,8 @@ MIN_SPEEDUP = 2.0
 
 #: Modes the bench controls itself; anything inherited would leak into
 #: the workers through their environment instead of the welcome frame.
-_MODE_KEYS = ("REPRO_FAST", "REPRO_SOLVER", "REPRO_KERNEL",
-              "REPRO_SHARDS", "REPRO_SHARD_WORKERS", "REPRO_TRACE",
-              "REPRO_CACHE", "REPRO_PARALLEL", "REPRO_BACKEND",
-              "REPRO_WORKERS")
+_MODE_KEYS = TASK_ENV + ("REPRO_CACHE", "REPRO_PARALLEL", "REPRO_BACKEND",
+                         "REPRO_WORKERS")
 
 
 def floor_enforced() -> bool:

@@ -41,12 +41,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro import config
 from repro.cache.keys import (
     UncacheableArgument,
     model_fingerprint,
     task_key,
 )
-from repro.errors import ConfigurationError
 
 __all__ = ["CacheEntryInfo", "CacheStats", "ResultCache", "cache_from_env",
            "default_cache_dir"]
@@ -55,23 +55,8 @@ _MAGIC = b"RPC1"
 _DIGEST_SIZE = 32
 _HEADER_SIZE = len(_MAGIC) + _DIGEST_SIZE
 
-#: Default size bound for the eviction pass: 2 GiB.
-_DEFAULT_MAX_BYTES = 2 << 30
-
 _STAT_KEYS = ("hits", "misses", "bypasses", "writes", "corrupt", "evicted")
 
-
-def _size_bound(value: Any, name: str) -> int:
-    """``value`` as a byte count >= 0; ``name`` says where it came from."""
-    try:
-        bound = int(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"{name} must be an integer number of bytes, got {value!r}"
-        ) from None
-    if bound < 0:
-        raise ConfigurationError(f"{name} must be >= 0, got {bound}")
-    return bound
 
 #: Distinguishes "no context override" from an explicit ``context=None``
 #: in :meth:`ResultCache.key_for` (``None`` is a meaningful context).
@@ -114,7 +99,7 @@ class ResultCache:
     ``fingerprint=None`` uses :func:`model_fingerprint` (the hash of the
     installed ``repro`` source tree); tests pass explicit strings to
     model code changes. ``context`` folds run-environment knobs into
-    every key (the executor passes the normalised ``REPRO_FAST`` flag).
+    every key (the executor passes its ``env_mode_context``).
     """
 
     VERSION = "v1"
@@ -125,12 +110,8 @@ class ResultCache:
         self.root = os.path.abspath(root)
         self.fingerprint = (model_fingerprint() if fingerprint is None
                             else fingerprint)
-        if max_bytes is None:
-            raw = os.environ.get("REPRO_CACHE_MAX_BYTES", "").strip()
-            self.max_bytes = (_size_bound(raw, "REPRO_CACHE_MAX_BYTES")
-                              if raw else _DEFAULT_MAX_BYTES)
-        else:
-            self.max_bytes = _size_bound(max_bytes, "max_bytes")
+        self.max_bytes = config.get("REPRO_CACHE_MAX_BYTES", max_bytes,
+                                    source="max_bytes")
         self.context = context
         self.stats = CacheStats()
         self._pending_index: Dict[str, Dict[str, Any]] = {}
@@ -479,23 +460,14 @@ class ResultCache:
 # ---------------------------------------------------------------------- #
 # environment wiring
 # ---------------------------------------------------------------------- #
-def _truthy(raw: str) -> bool:
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
 def default_cache_dir() -> str:
     """``REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro/sweeps``."""
-    configured = os.environ.get("REPRO_CACHE_DIR", "").strip()
-    if configured:
-        return configured
-    xdg = os.environ.get("XDG_CACHE_HOME", "").strip()
-    base = xdg if xdg else os.path.join(os.path.expanduser("~"), ".cache")
-    return os.path.join(base, "repro", "sweeps")
+    return config.get("REPRO_CACHE_DIR")
 
 
 def cache_enabled() -> bool:
-    """True when ``REPRO_CACHE`` requests caching (1/true/yes/on)."""
-    return _truthy(os.environ.get("REPRO_CACHE", ""))
+    """True when ``REPRO_CACHE`` requests caching."""
+    return config.get("REPRO_CACHE")
 
 
 def cache_from_env(context: Any = None) -> Optional[ResultCache]:

@@ -68,12 +68,12 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-import os
 import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro import config
 from repro.des.core import Event, Simulator, PRIORITY_LATE
 from repro.des.kernels import (KERNEL_COMPILED, KERNEL_PYTHON,
                                compiled_kernel, maxmin_class_solve_np,
@@ -134,15 +134,8 @@ _SHARD_CACHE_MAX = 256
 
 def _resolve_solver(solver: Optional[str]) -> str:
     """Explicit argument beats ``REPRO_SOLVER`` beats the default."""
-    if solver is None:
-        solver = os.environ.get("REPRO_SOLVER", "").strip() or SOLVER_COMPONENT
-    solver = solver.strip().lower()
-    if solver not in (SOLVER_COMPONENT, SOLVER_GLOBAL, SOLVER_SHARDED):
-        raise SimulationError(
-            f"unknown solver {solver!r} (REPRO_SOLVER); expected "
-            f"{SOLVER_COMPONENT!r}, {SOLVER_GLOBAL!r} or "
-            f"{SOLVER_SHARDED!r}")
-    return solver
+    return config.get("REPRO_SOLVER", solver, source="solver",
+                      error=SimulationError)
 
 
 class LinkCapacity:

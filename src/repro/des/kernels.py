@@ -55,6 +55,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from repro import config
 from repro.errors import SimulationError
 
 __all__ = [
@@ -77,16 +78,10 @@ KERNEL_PYTHON = "python"
 def resolve_kernel(kernel: Optional[str]) -> str:
     """Explicit argument beats ``REPRO_KERNEL`` beats the default, which
     is ``compiled`` when the C kernel loads and ``python`` otherwise."""
+    kernel = config.get("REPRO_KERNEL", kernel, source="kernel",
+                        error=SimulationError)
     if kernel is None:
-        kernel = os.environ.get("REPRO_KERNEL", "").strip()
-        if not kernel:
-            return (KERNEL_COMPILED if _probe()[0] is not None
-                    else KERNEL_PYTHON)
-    kernel = kernel.strip().lower()
-    if kernel not in (KERNEL_COMPILED, KERNEL_PYTHON):
-        raise SimulationError(
-            f"unknown kernel {kernel!r} (REPRO_KERNEL); expected "
-            f"{KERNEL_COMPILED!r} or {KERNEL_PYTHON!r}")
+        return KERNEL_COMPILED if _probe()[0] is not None else KERNEL_PYTHON
     return kernel
 
 
@@ -314,14 +309,6 @@ fail:
 """
 
 
-def _kernel_cache_dir() -> str:
-    override = os.environ.get("REPRO_KERNEL_CACHE", "").strip()
-    if override:
-        return override
-    return os.path.join(os.path.expanduser("~"), ".cache", "repro",
-                        "kernels")
-
-
 def _find_compiler() -> Optional[str]:
     cc = os.environ.get("CC", "").strip()
     if cc and shutil.which(cc):
@@ -342,7 +329,7 @@ def _build_c_library() -> str:
     """
     digest = hashlib.blake2b(_C_SOURCE.encode("utf-8"),
                              digest_size=10).hexdigest()
-    cache_dir = _kernel_cache_dir()
+    cache_dir = config.get("REPRO_KERNEL_CACHE")
     lib_path = os.path.join(cache_dir, f"maxmin_{digest}.so")
     if os.path.exists(lib_path):
         return lib_path

@@ -24,35 +24,20 @@ Workers and parent run the *same* solve routine on the same packed
 inputs (the compiled kernel when the network uses it, otherwise
 :func:`repro.des.kernels.maxmin_class_solve_np`), so results are
 bit-identical whichever mode executes a shard — ``REPRO_SHARD_WORKERS``
-is a throughput knob, never a results knob.
-
-Knobs
------
-
-``REPRO_SHARDS`` / ``FlowNetwork(shards=K)`` — target shard count for
-the partitioning pass. An *algorithmic* knob: it changes (slack-bounded)
-results, so it is validated strictly, folded into sweep-cache keys, and
-deliberately **not** capped by the machine's core count — a 4-shard
-solve on one core still reaps the smaller-range/cached-shard wins and
-stays reproducible on any host.
-
-``REPRO_SHARD_WORKERS`` / ``FlowNetwork(shard_workers=N)`` — processes
-actually solving shards. A *throughput* knob resolved like
-``REPRO_PARALLEL`` (warn and fall back on malformed values) and capped
-at ``min(shards, os.cpu_count())`` the same way
-:func:`repro.experiments.executor.default_parallelism` consumers cap
-pool fan-out; 1 means in-process.
+is a throughput knob, never a results knob. Both shard knobs are rows
+of :mod:`repro.config`; the shard count changes (slack-bounded) results,
+so it is strict, cache-keyed and not capped by the core count.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import warnings
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import config
 from repro.des.kernels import (KERNEL_COMPILED, MaxminKernel,
                                compiled_kernel, maxmin_class_solve_np)
 from repro.errors import SimulationError
@@ -69,7 +54,7 @@ __all__ = [
 #: Default shard count for ``REPRO_SOLVER=sharded``. Machine-independent
 #: on purpose (see module docstring): 4 splits the mega-components the
 #: cluster models produce without shredding mid-size ones.
-DEFAULT_SHARDS = 4
+DEFAULT_SHARDS = config.KNOBS["REPRO_SHARDS"].default
 
 #: Int64 header fields per packed problem (offsets into the arenas).
 _HDR_FIELDS = 10
@@ -78,57 +63,19 @@ _H_FLOW_OFF, _H_NFLOWS, _H_CRES_OFF, _H_NCLASSES, _H_KMAX, \
 
 
 def resolve_shards(shards: Optional[int]) -> int:
-    """Explicit argument beats ``REPRO_SHARDS`` beats the default.
-
-    Strict like ``REPRO_SOLVER`` — the shard count is folded into cache
-    keys and bounds the fairness deviation, so a typo must fail loudly
-    at construction, not degrade results quietly.
-    """
-    if shards is None:
-        raw = os.environ.get("REPRO_SHARDS", "").strip()
-        if not raw:
-            return DEFAULT_SHARDS
-        try:
-            shards = int(raw)
-        except ValueError:
-            raise SimulationError(
-                f"REPRO_SHARDS={raw!r} is not an integer; expected a "
-                f"shard count >= 1") from None
-    shards = int(shards)
-    if shards < 1:
-        raise SimulationError(
-            f"shard count must be >= 1, got {shards} (REPRO_SHARDS)")
-    return shards
+    """Explicit argument beats ``REPRO_SHARDS`` beats the default."""
+    return config.get("REPRO_SHARDS", shards, source="shards",
+                      error=SimulationError)
 
 
 def resolve_shard_workers(workers: Optional[int], shards: int) -> int:
-    """Worker-process count, capped at ``min(shards, os.cpu_count())``.
-
-    A throughput knob (results are bit-identical at any value), so a
-    malformed ``REPRO_SHARD_WORKERS`` warns and falls back to the
-    default instead of raising — mirroring ``REPRO_PARALLEL``.
-    """
+    """Worker-process count (``REPRO_SHARD_WORKERS``, a lenient row),
+    capped at ``min(shards, os.cpu_count())``."""
     ncpu = os.cpu_count() or 1
     if workers is None:
-        raw = os.environ.get("REPRO_SHARD_WORKERS", "").strip()
-        if raw:
-            try:
-                workers = int(raw)
-            except ValueError:
-                warnings.warn(
-                    f"REPRO_SHARD_WORKERS={raw!r} is not an integer; "
-                    f"solving shards in-process", RuntimeWarning,
-                    stacklevel=2)
-                workers = 1
-            else:
-                if workers < 1:
-                    warnings.warn(
-                        f"REPRO_SHARD_WORKERS={raw!r} must be a positive "
-                        f"worker count; solving shards in-process",
-                        RuntimeWarning, stacklevel=2)
-                    workers = 1
-        else:
-            workers = min(shards, ncpu)
+        workers = config.get("REPRO_SHARD_WORKERS")
+    if workers is None:
+        workers = min(shards, ncpu)
     return max(1, min(int(workers), int(shards), ncpu))
 
 

@@ -17,9 +17,9 @@ the figure CLI's ``--backend`` resolve through) or construct directly.
 
 from __future__ import annotations
 
-import os
 from typing import Any, Optional
 
+from repro import config
 from repro.experiments.backends.base import (
     Backend,
     BackendCounters,
@@ -60,24 +60,13 @@ __all__ = [
 ]
 
 #: Names :func:`make_backend` accepts.
-BACKENDS = ("serial", "process", "remote")
+BACKENDS = config.KNOBS["REPRO_BACKEND"].choices
 
 
 def default_backend_name() -> str:
-    """The backend ``run_sweep`` uses when none is passed.
-
-    ``REPRO_BACKEND`` wins; otherwise ``process`` (the historical
-    behaviour — ``run_sweep`` itself still degrades a one-worker
-    process backend to serial).
-    """
-    name = os.environ.get("REPRO_BACKEND", "").strip().lower()
-    if name:
-        if name not in BACKENDS:
-            raise BackendError(
-                f"REPRO_BACKEND={name!r} is not a backend; pick one of "
-                f"{', '.join(BACKENDS)}")
-        return name
-    return "process"
+    """The backend ``run_sweep`` uses when none is passed
+    (``REPRO_BACKEND``, else ``process``)."""
+    return config.get("REPRO_BACKEND")
 
 
 def make_backend(name: Optional[str] = None, *,

@@ -45,6 +45,7 @@ import socket
 import struct
 from typing import Any, Optional
 
+from repro import config
 from repro.errors import ReproError
 
 __all__ = [
@@ -65,18 +66,10 @@ _HEADER = struct.Struct(">4sQ")
 MAX_FRAME_BYTES = 1 << 30
 
 #: Environment knobs the coordinator forwards in ``welcome`` so both
-#: sides resolve the same run modes (they are read *inside* task
-#: bodies and folded into cache keys). ``REPRO_TRACE`` rides along so a
-#: localhost worker drops trace files where the coordinator expects
-#: them; on a genuinely remote machine they land on that machine.
-MODE_ENV_KEYS = (
-    "REPRO_FAST",
-    "REPRO_SOLVER",
-    "REPRO_KERNEL",
-    "REPRO_SHARDS",
-    "REPRO_SHARD_WORKERS",
-    "REPRO_TRACE",
-)
+#: sides resolve the same run modes: the config rows task bodies read
+#: (``REPRO_TRACE`` too, so trace files land where a localhost
+#: coordinator expects them).
+MODE_ENV_KEYS = config.TASK_ENV
 
 
 class ProtocolError(ReproError):

@@ -44,13 +44,13 @@ traceback.
 
 from __future__ import annotations
 
-import os
 import socket
 import threading
 from collections import deque
 from queue import Queue
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
+from repro import config
 from repro.experiments.backends.base import (
     Backend,
     BackendCounters,
@@ -58,7 +58,6 @@ from repro.experiments.backends.base import (
     TaskOutcome,
 )
 from repro.experiments.backends.protocol import (
-    MODE_ENV_KEYS,
     PROTOCOL_VERSION,
     ProtocolError,
     recv_msg,
@@ -110,28 +109,11 @@ def parse_workers(raw: Union[str, Sequence[Any], None]
     """
     if raw is None:
         return []
-    if isinstance(raw, str):
-        items: List[Any] = raw.replace(",", " ").split()
-    else:
-        items = list(raw)
-    addrs: List[Tuple[str, int]] = []
-    for item in items:
-        if isinstance(item, tuple):
-            host, port = item
-        else:
-            text = str(item).strip()
-            host, _, port = text.rpartition(":")
-            host = host or "127.0.0.1"
-        try:
-            port = int(port)
-        except (TypeError, ValueError):
-            raise RemoteBackendError(
-                f"bad worker address {item!r}: expected host:port") from None
-        if not 0 < port < 65536:
-            raise RemoteBackendError(
-                f"bad worker address {item!r}: port out of range")
-        addrs.append((host, port))
-    return addrs
+    items = raw.replace(",", " ").split() if isinstance(raw, str) else raw
+    try:
+        return [config.parse_addr(item) for item in items]
+    except ValueError as exc:
+        raise RemoteBackendError(f"bad worker address {exc}") from None
 
 
 class _Scheduler:
@@ -451,7 +433,7 @@ class RemoteBackend(Backend):
                  chunk_cap: int = 8) -> None:
         super().__init__()
         if workers is None:
-            workers = os.environ.get("REPRO_WORKERS", "")
+            workers = config.get("REPRO_WORKERS")
         self.addrs = parse_workers(workers)
         if not self.addrs:
             raise RemoteBackendError(
@@ -468,9 +450,6 @@ class RemoteBackend(Backend):
         self.connect_timeout = float(connect_timeout)
         self.chunk_cap = int(chunk_cap)
 
-    def _mode_env(self) -> Dict[str, str]:
-        return {key: os.environ.get(key, "") for key in MODE_ENV_KEYS}
-
     def run_tasks(self, tasks: Sequence[Tuple[int, Any]]
                   ) -> Iterator[TaskOutcome]:
         tasks = list(tasks)
@@ -484,7 +463,7 @@ class RemoteBackend(Backend):
             speculate=self.speculate, chunk_cap=self.chunk_cap)
         links = [
             _WorkerLink(addr, scheduler, payloads, self.fingerprint,
-                        self._mode_env(), self.connect_timeout)
+                        config.task_env(), self.connect_timeout)
             for addr in self.addrs]
         for link in links:
             link.start()

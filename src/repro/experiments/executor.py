@@ -18,26 +18,22 @@ scheduling:
   they complete. Results stream in **completion order** (one progress
   tick each, with the task's wall ``duration`` and ``worker`` origin)
   but are reassembled **by index**, so every backend returns a
-  bit-identical list;
-- :func:`default_parallelism` — worker count from the
-  ``REPRO_PARALLEL`` environment variable (default ``1`` = serial).
+  bit-identical list.
 
 Backend selection: the ``backend`` argument (a registry name or a
 :class:`~repro.experiments.backends.Backend` instance) wins, then
-``REPRO_BACKEND``, then the historical default — a process pool sized
-by ``parallel``/``REPRO_PARALLEL`` that degrades to serial at one
-worker. A backend instance passed by the caller is *borrowed* (the
-caller keeps pool/socket ownership); anything resolved from a name is
-constructed and closed per sweep.
+``REPRO_BACKEND``, then a process pool sized by
+``parallel``/``REPRO_PARALLEL`` that degrades to serial at one worker.
+A backend instance passed by the caller is *borrowed* (the caller keeps
+pool/socket ownership); anything resolved from a name is constructed
+and closed per sweep.
 
-Caching is off unless requested: pass an explicit
-:class:`~repro.cache.ResultCache`, or set ``REPRO_CACHE=1`` (location
-via ``REPRO_CACHE_DIR``). The normalised run-mode environment
-(:func:`env_mode_context`: ``REPRO_FAST``, solver, kernel, shards) is
-folded into every key because drivers read those knobs inside the task
-body; a ``REPRO_TRACE`` run bypasses the cache entirely, since serving
-a hit would silently skip the trace files the task is expected to
-emit.
+Caching is off unless requested (an explicit
+:class:`~repro.cache.ResultCache`, or ``REPRO_CACHE``). The cache-keyed
+rows of :mod:`repro.config` (:func:`env_mode_context`) fold into every
+key because task bodies read them; a ``REPRO_TRACE`` run bypasses the
+cache entirely, since a hit would silently skip the trace files the
+task is expected to emit.
 
 Determinism contract: a task must not read or mutate shared state; all
 randomness must come from seeds carried in its arguments. Every task in
@@ -48,10 +44,10 @@ randomness must come from seeds carried in its arguments. Every task in
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
+from repro import config
 from repro.cache.store import ResultCache, cache_from_env
 from repro.experiments.backends import (
     Backend,
@@ -99,28 +95,9 @@ class SweepTask:
 
 
 def default_parallelism() -> int:
-    """Worker count requested via ``REPRO_PARALLEL`` (default 1).
-
-    A malformed or non-positive value falls back to serial execution,
-    with a warning naming the bad value — silently ignoring a typo like
-    ``REPRO_PARALLEL=eight`` would quietly forfeit the whole speedup.
-    """
-    raw = os.environ.get("REPRO_PARALLEL", "").strip()
-    if not raw:
-        return 1
-    try:
-        workers = int(raw)
-    except ValueError:
-        warnings.warn(
-            f"REPRO_PARALLEL={raw!r} is not an integer; running serially",
-            RuntimeWarning, stacklevel=2)
-        return 1
-    if workers < 1:
-        warnings.warn(
-            f"REPRO_PARALLEL={raw!r} must be a positive worker count; "
-            f"running serially", RuntimeWarning, stacklevel=2)
-        return 1
-    return workers
+    """Worker count requested via ``REPRO_PARALLEL`` (default 1); a
+    malformed value warns and runs serially."""
+    return config.get("REPRO_PARALLEL")
 
 
 @dataclass(frozen=True)
@@ -150,25 +127,15 @@ class SweepProgress:
 
 
 def env_mode_context() -> Dict[str, Any]:
-    # The drivers read REPRO_FAST (phase counts), REPRO_SOLVER
-    # (bandwidth-share strategy — at the cluster models' nonzero
-    # fairness_slack the solvers batch freeze rounds differently) and
-    # REPRO_KERNEL *inside* the task body, so two runs with identical
-    # task arguments can differ across these modes; fold the normalised
-    # values into every cache key. (The unset kernel resolves per host —
-    # compiled where the C kernel loads, python elsewhere — and the two
-    # are bit-identity-tested, so for the kernel the fold is a guard,
-    # not a correctness requirement.)
-    from repro.des.bandwidth import _resolve_solver
+    """The resolved values of the config rows with a ``cache_key``,
+    which task bodies read. (The unset kernel resolves per host; the two
+    kernels are bit-identical, so its fold is only a guard.)"""
     from repro.des.kernels import resolve_kernel
-    from repro.des.shards import resolve_shards
 
-    fast = os.environ.get("REPRO_FAST", "") not in ("", "0", "false")
-    return {"repro_fast": fast, "repro_solver": _resolve_solver(None),
-            "repro_kernel": resolve_kernel(None),
-            # The shard count changes (slack-bounded) sharded-solver
-            # results, so it must partition the cache like the solver.
-            "repro_shards": resolve_shards(None)}
+    context = {knob.cache_key: config.get(knob.env)
+               for knob in config.KNOBS.values() if knob.cache_key}
+    context["repro_kernel"] = resolve_kernel(context["repro_kernel"])
+    return context
 
 
 def resolve_cache_context(store: ResultCache) -> Any:
@@ -278,7 +245,7 @@ def run_sweep(tasks: Iterable[SweepTask],
         else max(1, int(parallel))
     workers = min(workers, max(1, total))
     store = _resolve_cache(cache)
-    trace_dir = os.environ.get("REPRO_TRACE", "")
+    trace_dir = config.get("REPRO_TRACE")
     if store is not None and trace_dir:
         store.record_bypass(total)
         store.flush()

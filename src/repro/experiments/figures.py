@@ -9,35 +9,20 @@ records paper-vs-measured.
 ``REPRO_FAST=1`` in the environment trims the sweeps (smaller scales,
 fewer phases) for quick runs; the full sweeps match the paper.
 
-Every driver expresses its sweep as a list of picklable *spec* dicts
-(platform preset, core count, strategy description, seed) executed
-through :func:`repro.experiments.executor.run_sweep`, so setting
-``REPRO_PARALLEL=N`` fans independent configurations out over ``N``
-worker processes with bit-identical results: each spec builds its own
-simulator and machine from its explicit seed, and ``run_sweep`` returns
-results in task order.
-
-Because every spec is pure data and every run is seeded, the sweeps are
-also memoizable: with ``REPRO_CACHE=1`` (or ``--cache`` on the figure
-CLI) ``run_sweep`` serves previously computed points from the
-content-addressed store in ``REPRO_CACHE_DIR`` and only computes what
-changed — editing one platform preset re-runs that preset's points and
-nothing else, since the store keys every result by (spec, model source
-fingerprint). Warm results are bit-identical to cold ones.
-
-``REPRO_SOLVER=global`` forces the reference whole-network bandwidth
-solver inside every sweep point (see
-:mod:`repro.des.bandwidth`) — slower, for debugging the default
-component-partitioned solver; the mode is folded into cache keys.
+Every driver expresses its sweep as a list of picklable, seeded *spec*
+dicts (platform preset, core count, strategy description, seed) run
+through :func:`repro.experiments.executor.run_sweep`, so the sweeps
+parallelise, distribute and cache with bit-identical results under the
+knobs of :mod:`repro.config`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import config
 from repro.analysis.model import breakeven_io_fraction, dedication_benefit
 from repro.analysis.scalability import scalability_factor
 from repro.analysis.stats import jitter_stats
@@ -66,7 +51,7 @@ __all__ = [
 
 
 def fast_mode() -> bool:
-    return os.environ.get("REPRO_FAST", "") not in ("", "0", "false")
+    return config.get("REPRO_FAST")
 
 
 def kraken_scales() -> Tuple[int, ...]:
@@ -499,7 +484,7 @@ def fig_fault_degradation(ncores: int = 48, seed: int = 42,
     falls back to :func:`default_fault_schedule`."""
     from repro.faults import FaultSchedule
     if schedule is None:
-        path = os.environ.get("REPRO_FAULTS", "")
+        path = config.get("REPRO_FAULTS")
         schedule = (FaultSchedule.from_json(path) if path
                     else default_fault_schedule())
     report = FigureReport(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional
 
+from repro import config
 from repro.apps.workload import CM1Workload
 from repro.core.server import DamarisOptions
 from repro.experiments.harness import ExperimentResult, run_experiment
@@ -225,7 +226,7 @@ def run_spec(spec: Dict[str, Any],
         run_kwargs["faults"] = FaultSchedule.from_dict(spec["faults"])
     trace_dir = ""
     if tracer is None:
-        trace_dir = os.environ.get("REPRO_TRACE", "")
+        trace_dir = config.get("REPRO_TRACE")
         if trace_dir:
             tracer = Tracer()
     if tracer is not None:
@@ -236,7 +237,8 @@ def run_spec(spec: Dict[str, Any],
     result = run_experiment(
         machine, fs, workload if workload is not None else default_workload,
         strategy,
-        write_phases=spec.get("write_phases", _default_phases()),
+        write_phases=spec.get("write_phases",
+                              1 if config.get("REPRO_FAST") else 2),
         **run_kwargs)
 
     if trace_dir:
@@ -248,8 +250,3 @@ def run_spec(spec: Dict[str, Any],
         dump_jsonl(tracer, os.path.join(
             trace_dir, label.replace("/", "-") + ".jsonl"))
     return result
-
-
-def _default_phases() -> int:
-    fast = os.environ.get("REPRO_FAST", "") not in ("", "0", "false")
-    return 1 if fast else 2

@@ -16,7 +16,8 @@ Usage::
     python -m repro.tools.servectl health
 
 Client commands accept ``--host``/``--port`` (default
-``127.0.0.1:8642``, overridable via ``REPRO_SERVICE_ADDR=host:port``).
+``127.0.0.1:8642``, overridable via ``REPRO_SERVICE_ADDR=host:port``; a
+malformed value makes every command exit 2).
 ``submit`` reads a JSON file holding either a list of sweep specs or a
 full job object (``{"specs": [...], "priority": ..., "label": ...}``);
 ``-`` reads stdin. Typed rejections (quota, rate limit, draining,
@@ -27,25 +28,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any, Dict, Optional
 
+from repro import config
+from repro.errors import ConfigurationError
 from repro.service.client import ServiceClient
 from repro.service.errors import ServiceError
-
-DEFAULT_PORT = 8642
-
-
-def _default_addr() -> Dict[str, Any]:
-    raw = os.environ.get("REPRO_SERVICE_ADDR", "").strip()
-    if raw and ":" in raw:
-        host, _, port = raw.rpartition(":")
-        try:
-            return {"host": host, "port": int(port)}
-        except ValueError:
-            pass
-    return {"host": "127.0.0.1", "port": DEFAULT_PORT}
 
 
 def _client(args: argparse.Namespace) -> ServiceClient:
@@ -178,15 +167,15 @@ def cmd_health(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    addr = _default_addr()
+    host, port = config.get("REPRO_SERVICE_ADDR")
     parser = argparse.ArgumentParser(
         prog="python -m repro.tools.servectl",
         description="Run and talk to the sweep job service.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--host", default=addr["host"])
-        p.add_argument("--port", type=int, default=addr["port"])
+        p.add_argument("--host", default=host)
+        p.add_argument("--port", type=int, default=port)
 
     p = sub.add_parser("serve", help="start a server in the foreground")
     common(p)
@@ -239,7 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        parser = build_parser()
+    except ConfigurationError as exc:
+        print(f"servectl: {exc}", file=sys.stderr)
+        return 2
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except ServiceError as exc:

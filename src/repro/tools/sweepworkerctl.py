@@ -48,8 +48,8 @@ import time
 import traceback
 from typing import Optional
 
+from repro import config
 from repro.experiments.backends.protocol import (
-    MODE_ENV_KEYS,
     PROTOCOL_VERSION,
     ProtocolError,
     recv_msg,
@@ -71,18 +71,6 @@ def _write_port_file(path: str, host: str, port: int) -> None:
     with os.fdopen(fd, "w", encoding="utf-8") as fh:
         fh.write(f"{host}:{port}\n")
     os.replace(tmp_path, path)
-
-
-def _apply_env(env: dict) -> None:
-    # The welcome carries *every* mode key, empty string meaning unset,
-    # so each coordinator connection fully determines the worker's
-    # modes — nothing lingers from the previous coordinator.
-    for key in MODE_ENV_KEYS:
-        value = str(env.get(key, "") or "")
-        if value:
-            os.environ[key] = value
-        else:
-            os.environ.pop(key, None)
 
 
 def _run_batch(conn: socket.socket, tasks) -> None:
@@ -129,7 +117,7 @@ def _serve_connection(conn: socket.socket, fingerprint: str,
         return "rejected"
     if greeting.get("type") != "welcome":
         raise ProtocolError(f"expected welcome, got {greeting.get('type')!r}")
-    _apply_env(greeting.get("env", {}))
+    config.apply_task_env(greeting.get("env", {}))
     while True:
         msg = recv_msg(conn)
         if msg is None:

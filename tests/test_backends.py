@@ -17,6 +17,7 @@ import time
 import pytest
 
 from repro.cache import ResultCache
+from repro.errors import ConfigurationError
 from repro.experiments.backends import (
     Backend,
     BackendError,
@@ -355,7 +356,7 @@ class TestRegistry:
         monkeypatch.setenv("REPRO_BACKEND", "serial")
         assert default_backend_name() == "serial"
         monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(BackendError, match="REPRO_BACKEND"):
+        with pytest.raises(ConfigurationError, match="REPRO_BACKEND"):
             default_backend_name()
 
     def test_remote_needs_addresses(self, monkeypatch):

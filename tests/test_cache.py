@@ -350,6 +350,9 @@ class TestEnvWiring:
         for raw in ("0", "false", "off", ""):
             monkeypatch.setenv("REPRO_CACHE", raw)
             assert cache_from_env() is None
+        monkeypatch.setenv("REPRO_CACHE", "maybe")
+        with pytest.raises(ConfigurationError, match="REPRO_CACHE"):
+            cache_from_env()
 
     def test_default_dir_honours_xdg(self, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.experiments.figures import fast_mode, kraken_scales, model_breakeven
 from repro.experiments.platforms import (
     blueprint_preset,
@@ -106,6 +106,12 @@ class TestFastMode:
         assert kraken_scales()[-1] < 9216
         monkeypatch.setenv("REPRO_FAST", "0")
         assert not fast_mode()
+        for raw in ("False", "no", "off"):
+            monkeypatch.setenv("REPRO_FAST", raw)
+            assert not fast_mode()
+        monkeypatch.setenv("REPRO_FAST", "maybe")
+        with pytest.raises(ConfigurationError, match="REPRO_FAST"):
+            fast_mode()
 
 
 class TestModelBreakevenDriver:

@@ -22,6 +22,7 @@ import time
 import pytest
 
 from repro.cache import ResultCache
+from repro.config import TASK_ENV
 from repro.experiments.backends import RemoteBackend
 from repro.experiments.backends.remote import (
     NoWorkersError,
@@ -34,10 +35,8 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Environment knobs that must not leak from the test runner into
 #: worker subprocesses (the welcome frame is what configures them).
-_MODE_KEYS = ("REPRO_FAST", "REPRO_SOLVER", "REPRO_KERNEL",
-              "REPRO_SHARDS", "REPRO_SHARD_WORKERS", "REPRO_TRACE",
-              "REPRO_CACHE", "REPRO_PARALLEL", "REPRO_BACKEND",
-              "REPRO_WORKERS")
+_MODE_KEYS = TASK_ENV + ("REPRO_CACHE", "REPRO_PARALLEL", "REPRO_BACKEND",
+                         "REPRO_WORKERS")
 
 
 def _worker_env():

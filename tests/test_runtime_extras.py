@@ -1,9 +1,12 @@
 """Tests for runtime extras: dynamic-shape variables, external steering
 events, and the inspection tools."""
 
+import os
+
 import numpy as np
 import pytest
 
+from repro.config import KNOBS
 from repro.core import DamarisConfig
 from repro.errors import ReproError, UnknownEventError
 from repro.formats import SHDFReader
@@ -138,3 +141,32 @@ class TestFiguresCLI:
     def test_runs_cheap_driver(self, capsys):
         assert figures_main(["model"]) == 0
         assert "breakeven" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, env, code, exported", [
+        (["--parallel", "1", "--parallel", "2", "model"], {}, 0,
+         {"REPRO_PARALLEL": "2"}),
+        (["--kernel=python", "model"], {}, 0, {"REPRO_KERNEL": "python"}),
+        (["model", "-h"], {}, 0, {}),
+        (["--parallel", "0", "table1"], {}, 2, {}),
+        (["--backend", "remote", "--workers", "bogus", "table1"], {}, 2, {}),
+        (["model"], {"REPRO_KERNEL": "rust"}, 2, {}),
+    ], ids=["last-flag-wins", "equals-form", "help-after-figure",
+            "zero-workers", "bad-worker-address", "bad-env-kernel"])
+    def test_flags_from_the_knob_table(self, monkeypatch, capsys, argv,
+                                       env, code, exported):
+        # Every knob empty (= unset) through monkeypatch, so whatever the
+        # CLI exports is undone after the test.
+        for name in KNOBS:
+            monkeypatch.setenv(name, env.get(name, ""))
+        if code == 2:
+            # A rejected command line must not reach a driver.
+            monkeypatch.setattr("repro.tools.figures.DRIVERS", {})
+        before = dict(os.environ)
+        assert figures_main(argv) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert dict(os.environ) == before
+            assert len(err.strip().splitlines()) == 1
+            assert "REPRO_" in err
+        for name, value in exported.items():
+            assert os.environ[name] == value

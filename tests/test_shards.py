@@ -34,7 +34,7 @@ from repro.des.partition import PartitionResult, cut_weight, partition_graph
 from repro.des.shards import (DEFAULT_SHARDS, ShardProblem, ShardWorkerPool,
                               resolve_shard_workers, resolve_shards,
                               solve_problem)
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 
 KERNELS = ["python",
            pytest.param("compiled", marks=pytest.mark.skipif(
@@ -174,10 +174,10 @@ def test_resolve_shards_default_env_and_argument(monkeypatch):
 
 def test_resolve_shards_rejects_malformed(monkeypatch):
     monkeypatch.setenv("REPRO_SHARDS", "many")
-    with pytest.raises(SimulationError, match="REPRO_SHARDS"):
+    with pytest.raises(ConfigurationError, match="REPRO_SHARDS"):
         resolve_shards(None)
     monkeypatch.setenv("REPRO_SHARDS", "0")
-    with pytest.raises(SimulationError, match=">= 1"):
+    with pytest.raises(ConfigurationError, match=">= 1"):
         resolve_shards(None)
     with pytest.raises(SimulationError):
         resolve_shards(-2)
@@ -215,7 +215,7 @@ def test_network_validates_every_mode_listing_options(monkeypatch):
     for option in ("component", "global", "sharded"):
         assert option in str(err.value)
     monkeypatch.setenv("REPRO_SOLVER", "fast")
-    with pytest.raises(SimulationError, match="sharded"):
+    with pytest.raises(ConfigurationError, match="sharded"):
         FlowNetwork(Simulator())
     monkeypatch.delenv("REPRO_SOLVER")
     with pytest.raises(SimulationError) as err:
@@ -223,13 +223,13 @@ def test_network_validates_every_mode_listing_options(monkeypatch):
     for option in ("compiled", "python"):
         assert option in str(err.value)
     monkeypatch.setenv("REPRO_KERNEL", "rust")
-    with pytest.raises(SimulationError, match="REPRO_KERNEL"):
+    with pytest.raises(ConfigurationError, match="REPRO_KERNEL"):
         FlowNetwork(Simulator())
     # Shard knobs are validated at construction even when the solver
     # that would use them is not selected.
     monkeypatch.delenv("REPRO_KERNEL")
     monkeypatch.setenv("REPRO_SHARDS", "lots")
-    with pytest.raises(SimulationError, match="REPRO_SHARDS"):
+    with pytest.raises(ConfigurationError, match="REPRO_SHARDS"):
         FlowNetwork(Simulator(), solver="component")
 
 

@@ -23,7 +23,7 @@ import pytest
 
 from repro.des import FlowNetwork, Simulator
 from repro.des.bandwidth import SOLVER_COMPONENT, SOLVER_GLOBAL
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 
 
 # ---------------------------------------------------------------------- #
@@ -250,7 +250,7 @@ def test_invalid_solver_rejected(monkeypatch):
     with pytest.raises(SimulationError):
         FlowNetwork(Simulator(), solver="quantum")
     monkeypatch.setenv("REPRO_SOLVER", "fast")
-    with pytest.raises(SimulationError):
+    with pytest.raises(ConfigurationError):
         FlowNetwork(Simulator())
 
 
@@ -263,10 +263,17 @@ def test_machine_solver_passthrough():
 
 
 def test_solver_mode_folded_into_cache_context(monkeypatch):
+    from repro.config import KNOBS
+    from repro.des.kernels import kernel_status
     from repro.experiments.executor import env_mode_context
 
-    monkeypatch.delenv("REPRO_SOLVER", raising=False)
-    assert env_mode_context()["repro_solver"] == SOLVER_COMPONENT
+    for name in KNOBS:
+        monkeypatch.delenv(name, raising=False)
+    assert env_mode_context() == {
+        "repro_fast": False, "repro_solver": SOLVER_COMPONENT,
+        "repro_kernel": ("python" if kernel_status() == "unavailable"
+                         else "compiled"),
+        "repro_shards": 4}
     monkeypatch.setenv("REPRO_SOLVER", "global")
     assert env_mode_context()["repro_solver"] == SOLVER_GLOBAL
 

@@ -30,9 +30,9 @@ SHARDED_TRACE_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                                      "trace_sharded_storm.jsonl")
 
 
-def run_tool(*argv, check=True, timeout=120):
+def run_tool(*argv, check=True, timeout=120, env=None):
     proc = subprocess.run(
-        [sys.executable, "-m", *argv], env=TOOLS_ENV,
+        [sys.executable, "-m", *argv], env=dict(TOOLS_ENV, **(env or {})),
         capture_output=True, text=True, timeout=timeout)
     if check:
         assert proc.returncode == 0, proc.stderr or proc.stdout
@@ -197,6 +197,13 @@ class TestServectl:
             check=False)
         assert refused.returncode == 2
         assert "draining" in refused.stderr
+
+    def test_malformed_service_addr_exits_2(self):
+        # No port: once silently dialed 127.0.0.1:8642 instead.
+        proc = run_tool("repro.tools.servectl", "health", check=False,
+                        env={"REPRO_SERVICE_ADDR": "10.0.0.5"})
+        assert proc.returncode == 2
+        assert "REPRO_SERVICE_ADDR" in proc.stderr
 
     def test_bad_specs_file_rejected(self, server, tmp_path):
         host, port = server
