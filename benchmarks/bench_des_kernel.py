@@ -7,7 +7,8 @@ Five scenarios exercise the simulator's hot paths:
   capacities) — dominated by ``FlowNetwork._maxmin_rates``;
 - ``component_storm``: a weak-scaling storm of 256 *resource-disjoint*
   nodes (private NIC + private staggered target, several sequential
-  write rounds per writer) run under both ``REPRO_SOLVER`` modes — the
+  write rounds per writer) run under both ``FlowNetwork(solver=...)``
+  modes, ``component`` and the ``global`` reference — the
   scenario the component-partitioned solver exists for: one node's
   completion must re-solve one node, not 256. The bench asserts the two
   solvers produce bit-identical invariants and that the component

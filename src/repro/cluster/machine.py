@@ -60,14 +60,11 @@ class Machine:
     def __init__(self, spec: MachineSpec, seed: int = 0,
                  noise: Optional[NoiseModel] = None,
                  completion_slack: float = 0.01,
-                 fairness_slack: float = 0.08,
-                 solver: Optional[str] = None,
-                 shards: Optional[int] = None) -> None:
+                 fairness_slack: float = 0.08) -> None:
         self.spec = spec
         self.sim = Simulator()
         self.flows = FlowNetwork(self.sim, completion_slack=completion_slack,
-                                 fairness_slack=fairness_slack,
-                                 solver=solver, shards=shards)
+                                 fairness_slack=fairness_slack)
         self.streams = RandomStreams(seed)
         self.monitor = Monitor()
         self.noise = noise if noise is not None else OSNoise()

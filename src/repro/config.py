@@ -13,8 +13,8 @@ environment, which beats the default, and an empty value means unset.
 Booleans are on for ``1``/``true``/``yes``/``on`` and off for
 ``0``/``false``/``no``/``off`` (stripped, any case). A value that fails
 its row raises :class:`~repro.errors.ConfigurationError` naming the
-variable and its valid values, except on the throughput rows
-(``REPRO_PARALLEL``, ``REPRO_SHARD_WORKERS``), which warn and fall back.
+variable and its valid values, except on the throughput row
+``REPRO_PARALLEL``, which warns and falls back.
 """
 
 from __future__ import annotations
@@ -130,20 +130,10 @@ KNOBS: Dict[str, Knob] = {knob.env: knob for knob in (
     Knob("REPRO_FAST", parse_bool, "trimmed sweeps: smaller scales, "
          "fewer write phases", False, _BOOL, cache_key="repro_fast",
          task_env=True),
-    Knob("REPRO_SOLVER", _word, "bandwidth-share solver; global is the "
-         "debugging reference", "component",
-         choices=("component", "global", "sharded"),
-         cache_key="repro_solver", task_env=True, flag="--solver"),
     Knob("REPRO_KERNEL", _word, "water-filling kernel; unset means "
          "compiled when the C kernel loads, else python",
          choices=("compiled", "python"), cache_key="repro_kernel",
          task_env=True, flag="--kernel"),
-    Knob("REPRO_SHARDS", _at_least(1), "target shard count of the "
-         "sharded solver", 4, _POSITIVE, cache_key="repro_shards",
-         task_env=True, flag="--shards"),
-    Knob("REPRO_SHARD_WORKERS", _at_least(1), "processes solving shards; "
-         "unset means min(shards, CPUs)", None, _POSITIVE, task_env=True,
-         fallback=1),
     Knob("REPRO_TRACE", str, "record one trace file per sweep "
          "configuration into this directory", "", "a directory",
          task_env=True, flag="--trace"),

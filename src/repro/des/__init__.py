@@ -14,9 +14,6 @@ needs of the cluster/file-system models in this package:
   used for every NIC, link and storage target in the cluster models;
 - :mod:`~repro.des.kernels` — the water-filling kernels: compiled C by
   default when a C compiler is found, numpy otherwise (``REPRO_KERNEL``);
-- :mod:`~repro.des.partition` / :mod:`~repro.des.shards` — min-cut graph
-  partitioning and the persistent shard-worker pool behind the
-  ``sharded`` solver (``REPRO_SOLVER=sharded``, ``REPRO_SHARDS``);
 - :mod:`~repro.des.rng` — named, deterministic random streams;
 - :mod:`~repro.des.monitor` — counters and time series for instrumentation.
 """
@@ -27,10 +24,7 @@ from repro.des.kernels import (KERNEL_COMPILED, KERNEL_PYTHON, kernel_status,
 from repro.des.process import AllOf, AnyOf, Interrupt, Process
 from repro.des.resources import PriorityResource, Resource, Store
 from repro.des.bandwidth import (Flow, FlowNetwork, LinkCapacity,
-                                 SOLVER_COMPONENT, SOLVER_GLOBAL,
-                                 SOLVER_SHARDED)
-from repro.des.shards import (DEFAULT_SHARDS, ShardWorkerPool,
-                              resolve_shard_workers, resolve_shards)
+                                 SOLVER_COMPONENT, SOLVER_GLOBAL)
 from repro.des.rng import RandomStreams
 from repro.des.monitor import Counter, Monitor, TimeSeries
 
@@ -38,7 +32,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Counter",
-    "DEFAULT_SHARDS",
     "Event",
     "Flow",
     "FlowNetwork",
@@ -53,13 +46,9 @@ __all__ = [
     "Resource",
     "SOLVER_COMPONENT",
     "SOLVER_GLOBAL",
-    "SOLVER_SHARDED",
-    "ShardWorkerPool",
     "Simulator",
     "Store",
     "TimeSeries",
     "kernel_status",
     "resolve_kernel",
-    "resolve_shard_workers",
-    "resolve_shards",
 ]

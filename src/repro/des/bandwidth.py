@@ -29,8 +29,9 @@ O(everything):
   actually touched — while every clean component keeps its rates. Exact
   max-min decomposes over resource-disjoint components, so at
   ``fairness_slack=0`` the result is bit-identical to solving the whole
-  network (``REPRO_SOLVER=global`` forces that path for debugging). The
-  cheap O(active) vectorised bookkeeping — advancing progress, detecting
+  network (``FlowNetwork(solver="global")`` forces that path; the tests
+  compare the component solver against it). The cheap O(active)
+  vectorised bookkeeping — advancing progress, detecting
   completions, arming the next-completion tick — deliberately stays
   global: per-component next-completion targets are merged with a single
   vectorised min (the min of per-component minima *is* the global
@@ -65,27 +66,20 @@ O(everything):
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import math
-import weakref
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro import config
 from repro.des.core import Event, Simulator, PRIORITY_LATE
 from repro.des.kernels import (KERNEL_COMPILED, KERNEL_PYTHON,
                                compiled_kernel, maxmin_class_solve_np,
                                resolve_kernel)
-from repro.des.partition import partition_graph
-from repro.des.shards import (ShardProblem, ShardWorkerPool,
-                              resolve_shard_workers, resolve_shards,
-                              solve_problem)
 from repro.errors import SimulationError
 
 __all__ = ["LinkCapacity", "Flow", "FlowNetwork",
-           "SOLVER_COMPONENT", "SOLVER_GLOBAL", "SOLVER_SHARDED",
+           "SOLVER_COMPONENT", "SOLVER_GLOBAL",
            "KERNEL_COMPILED", "KERNEL_PYTHON"]
 
 #: Maximum number of capacities a single flow may traverse.
@@ -100,42 +94,25 @@ _FAST_PATH_HEADROOM = 1.0 - 1e-9
 
 #: Solve only the dirty connected components of the contention graph.
 SOLVER_COMPONENT = "component"
-#: Re-solve the whole network on every structural change (debug escape
-#: hatch; bit-identical to the component solver at ``fairness_slack=0``).
+#: Re-solve the whole network on every structural change (the reference
+#: the tests compare against; bit-identical to the component solver at
+#: ``fairness_slack=0``).
 SOLVER_GLOBAL = "global"
-#: Like ``component``, but additionally min-cut-partition oversized
-#: weakly coupled components into ``shards`` sub-networks solved
-#: independently (see :mod:`repro.des.partition` /
-#: :mod:`repro.des.shards`), with cut flows reconciled by a bounded
-#: fixed-point loop. Engages only at ``fairness_slack > 0``; at slack 0
-#: (or ``shards=1``) it is bit-identical to ``component``.
-SOLVER_SHARDED = "sharded"
 
 #: Component id of flows that touch no capacity (bounded by their rate
 #: cap only); they never contend with anything and are never re-solved.
 _CAPLESS_ROOT = -1
 
-#: Sharding pays a partitioning + reconciliation tax; solves with fewer
-#: flow classes than this are always cheaper unsharded. Module-level so
-#: tests can lower it to exercise sharding on small networks.
-_SHARD_MIN_CLASSES = 24
-#: Iteration cap of the cut-flow reconciliation fixed point. Pins only
-#: decrease, so the loop converges; the cap bounds the worst case, and
-#: exceeding it with a residual above the slack falls back to the exact
-#: component solve for that tick.
-_SHARD_MAX_RECONCILE = 8
-#: Relative pin movement below which the reconciliation has converged.
-_SHARD_CONVERGED = 1e-9
-#: Bounds for the memo tables (partition labels / per-shard solve
-#: results); both are cleared wholesale on overflow.
-_PART_CACHE_MAX = 16
-_SHARD_CACHE_MAX = 256
-
 
 def _resolve_solver(solver: Optional[str]) -> str:
-    """Explicit argument beats ``REPRO_SOLVER`` beats the default."""
-    return config.get("REPRO_SOLVER", solver, source="solver",
-                      error=SimulationError)
+    """``solver``, checked; ``component`` when it is ``None``."""
+    if solver is None:
+        return SOLVER_COMPONENT
+    if solver not in (SOLVER_COMPONENT, SOLVER_GLOBAL):
+        raise SimulationError(
+            f"solver: {solver!r} is invalid; expected one of "
+            f"{SOLVER_COMPONENT!r}, {SOLVER_GLOBAL!r}")
+    return solver
 
 
 class LinkCapacity:
@@ -212,21 +189,19 @@ class FlowNetwork:
     error. The default is exact (0.0); cluster-scale models opt in.
 
     ``solver`` picks the share-recomputation strategy: ``"component"``
-    (default, or via ``REPRO_SOLVER``) re-solves only the connected
-    components of the resource-contention graph touched since the last
-    solve; ``"global"`` re-solves the whole network every time. At
-    ``fairness_slack=0`` the two are bit-identical; with a positive
-    fairness slack the component solver batches freeze rounds per
-    component instead of across the whole network, a slightly different
-    (but equally bounded) approximation.
+    (the default) re-solves only the connected components of the
+    resource-contention graph touched since the last solve; ``"global"``
+    re-solves the whole network every time and is the reference the
+    tests compare against. At ``fairness_slack=0`` the two are
+    bit-identical; with a positive fairness slack the component solver
+    batches freeze rounds per component instead of across the whole
+    network, a slightly different (but equally bounded) approximation.
     """
 
     def __init__(self, sim: Simulator, completion_slack: float = 0.0,
                  fairness_slack: float = 0.0,
                  solver: Optional[str] = None,
-                 kernel: Optional[str] = None,
-                 shards: Optional[int] = None,
-                 shard_workers: Optional[int] = None) -> None:
+                 kernel: Optional[str] = None) -> None:
         if completion_slack < 0:
             raise SimulationError(
                 f"completion_slack must be >= 0, got {completion_slack}")
@@ -248,23 +223,6 @@ class FlowNetwork:
         self.kernel = resolve_kernel(kernel)
         self._kernel_impl = (compiled_kernel()
                              if self.kernel == KERNEL_COMPILED else None)
-        #: Target shard count for ``solver="sharded"`` (algorithmic knob,
-        #: folded into cache keys) and the worker processes solving them
-        #: (throughput knob, capped by ``os.cpu_count()``). Both resolve
-        #: and validate at construction regardless of the active solver,
-        #: so a typo in ``REPRO_SHARDS`` fails here, not mid-run.
-        self.shards = resolve_shards(shards)
-        self.shard_workers = resolve_shard_workers(shard_workers,
-                                                   self.shards)
-        self._shard_pool: Optional[ShardWorkerPool] = None
-        self._pool_finalizer = None
-        #: Partition-label memo keyed by the touched-resource set; a
-        #: stale layout is still a *valid* layout (the cut gate re-runs
-        #: every solve), so keys ignore the class mix.
-        self._part_cache: Dict[bytes, np.ndarray] = {}
-        #: Per-shard solve results keyed by an input digest: a tick that
-        #: only disturbs one shard re-solves one shard.
-        self._shard_cache: Dict[bytes, Tuple[np.ndarray, float]] = {}
         self._capacities = np.zeros(0, dtype=float)
         self._cap_names: List[str] = []
         self._links: Dict[str, LinkCapacity] = {}
@@ -347,16 +305,6 @@ class FlowNetwork:
         self._stat_dirty_solved = 0
         self._stat_kernel_solves = 0
         self._stat_batched_solves = 0
-        # Sharded-solver counters (see `solver_stats`).
-        self._stat_sharded_ticks = 0
-        self._stat_shard_solves = 0
-        self._stat_shard_cache_hits = 0
-        self._stat_shard_rejects = 0
-        self._stat_shard_fallbacks = 0
-        self._stat_shard_reconcile_iters = 0
-        self._stat_shard_cut_bytes = 0.0
-        self._stat_shard_max_imbalance = 0.0
-        self._stat_shard_count_last = 0
 
     # ------------------------------------------------------------------ #
     # capacities
@@ -536,7 +484,7 @@ class FlowNetwork:
     @property
     def solver_stats(self) -> Dict[str, int]:
         """Cumulative solver counters (full vs component vs fast path)."""
-        stats = {
+        return {
             "solver": self.solver,
             "kernel": self.kernel,
             "recomputes": self._stat_recomputes,
@@ -550,20 +498,6 @@ class FlowNetwork:
             "components_solved": self._stat_dirty_solved,
             "rebuilds": self._stat_rebuilds,
         }
-        if self.solver == SOLVER_SHARDED:
-            stats.update({
-                "shards": self.shards,
-                "shard_workers": self.shard_workers,
-                "sharded_ticks": self._stat_sharded_ticks,
-                "shard_solves": self._stat_shard_solves,
-                "shard_cache_hits": self._stat_shard_cache_hits,
-                "shard_rejects": self._stat_shard_rejects,
-                "shard_fallbacks": self._stat_shard_fallbacks,
-                "shard_reconcile_iters": self._stat_shard_reconcile_iters,
-                "shard_cut_bytes": self._stat_shard_cut_bytes,
-                "shard_max_imbalance": self._stat_shard_max_imbalance,
-            })
-        return stats
 
     # ------------------------------------------------------------------ #
     # flows
@@ -745,7 +679,7 @@ class FlowNetwork:
         clean component lazily (one coarse step at its own next event)
         accumulates different floating-point rounding than the global
         solver's per-event steps, which would break bit-identity between
-        ``REPRO_SOLVER=component`` and ``REPRO_SOLVER=global``.
+        ``solver="component"`` and ``solver="global"``.
         """
         now = self.sim.now
         dt = now - self._last_update
@@ -825,7 +759,7 @@ class FlowNetwork:
             # bit-identical to solving the components one by one at
             # slack 0 and skips the per-component index/mask assembly.
             idx = self._active_indices()
-            rates, used = self._solve_idx(idx)
+            rates, used = self._maxmin_rates(idx)
             self._rate[idx] = rates
             self._cap_used = used
             self._stat_full_solves += 1
@@ -853,7 +787,7 @@ class FlowNetwork:
                     for root in solve_roots])
                 self._stat_batched_solves += 1
             if solve_roots:
-                rates, used = self._solve_idx(idx)
+                rates, used = self._maxmin_rates(idx)
                 self._rate[idx] = rates
                 touched = self._res[idx]
                 touched = np.unique(touched[touched >= 0])
@@ -866,17 +800,6 @@ class FlowNetwork:
     def _trace_solve(self) -> None:
         tracer = self.sim.tracer
         if tracer.enabled:
-            extra: Dict[str, object] = {}
-            if self.solver == SOLVER_SHARDED:
-                # Shard counters ride along only for the sharded solver,
-                # keeping component/global traces byte-identical to
-                # previous releases.
-                extra = dict(
-                    shards=self._stat_shard_count_last,
-                    shard_solves=self._stat_shard_solves,
-                    shard_cut_bytes=self._stat_shard_cut_bytes,
-                    shard_imbalance=self._stat_shard_max_imbalance,
-                    shard_reconcile_iters=self._stat_shard_reconcile_iters)
             tracer.record_event(
                 "solver", "recompute", "flownet", time=self.sim.now,
                 solver=self.solver,
@@ -888,8 +811,7 @@ class FlowNetwork:
                 flows_solved=self._stat_flows_solved,
                 kernel_solves=self._stat_kernel_solves,
                 live=len(self._comp_slots),
-                active=len(self._active_set),
-                **extra)
+                active=len(self._active_set))
 
     # -- incremental arrivals ------------------------------------------- #
     def _fast_grant(self, arrivals: List[int]) -> bool:
@@ -1058,268 +980,3 @@ class FlowNetwork:
         return maxmin_class_solve_np(
             self._slot_class[idx], self._class_res, self._class_cap,
             self._capacities, self.fairness_slack)
-
-    # ------------------------------------------------------------------ #
-    # the sharded solver
-    # ------------------------------------------------------------------ #
-    def _solve_idx(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """One packed solve through the active solver.
-
-        ``sharded`` tries the partition-and-reconcile path first and
-        falls back to the exact component solve whenever sharding cannot
-        help (slack 0, tiny solve, cut too heavy, reconciliation
-        over-budget) — so enabling it can degrade a tick to ``component``
-        behaviour but never produce an unbounded-error allocation.
-        """
-        if self.solver == SOLVER_SHARDED:
-            out = self._maxmin_rates_sharded(idx)
-            if out is not None:
-                return out
-        return self._maxmin_rates(idx)
-
-    def _ensure_pool(self) -> Optional[ShardWorkerPool]:
-        """The lazy persistent worker pool (None = solve in-process)."""
-        if self.shard_workers <= 1:
-            return None
-        if self._shard_pool is None or self._shard_pool.broken:
-            try:
-                pool = ShardWorkerPool(self.shard_workers, self.kernel)
-            except Exception:
-                # No fork / spawn failure: permanently fall back.
-                self.shard_workers = 1
-                self._shard_pool = None
-                return None
-            self._shard_pool = pool
-            self._pool_finalizer = weakref.finalize(
-                self, ShardWorkerPool.close, pool)
-        return self._shard_pool
-
-    def _solve_shard_problems(self, problems: List[ShardProblem]
-                              ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Solve shard subproblems via the pool (or in-process).
-
-        Pool and in-process execution run the identical kernel on the
-        identical packed arrays, so this choice never changes results.
-        """
-        if len(problems) > 1:
-            pool = self._ensure_pool()
-            if pool is not None:
-                try:
-                    return pool.solve_batch(problems)
-                except SimulationError:
-                    # A dead worker degrades to in-process for the rest
-                    # of the run; the simulation result is unaffected.
-                    self._shard_pool = None
-                    self.shard_workers = 1
-        return [solve_problem(prob, self._kernel_impl) for prob in problems]
-
-    def _shard_labels(self, res_ids: np.ndarray, ci: np.ndarray,
-                      ent_local: np.ndarray, class_w: np.ndarray,
-                      caps_t: np.ndarray, k: int) -> np.ndarray:
-        """Partition labels for the touched-resource set (memoised).
-
-        Keyed by the resource set only: the label layout survives class
-        churn (completion batches change the class mix every tick, the
-        resource topology almost never), and a stale layout is still
-        *valid* — the cut-weight acceptance gate re-runs on the current
-        classes every solve.
-        """
-        key = (k, res_ids.tobytes())
-        labels = self._part_cache.get(key)
-        if labels is not None:
-            return labels
-        # Chain-edges per class: consecutive valid resources of one class
-        # couple; crossing any of them cuts the class.
-        same = ci[1:] == ci[:-1]
-        edge_u = ent_local[:-1][same]
-        edge_v = ent_local[1:][same]
-        edge_w = class_w[ci[1:][same]]
-        labels = partition_graph(caps_t, edge_u, edge_v, edge_w, k).labels
-        if len(self._part_cache) >= _PART_CACHE_MAX:
-            self._part_cache.clear()
-        self._part_cache[key] = labels
-        return labels
-
-    def _shard_key(self, flow_local: np.ndarray, class_res_local: np.ndarray,
-                   cap_eff: np.ndarray, caps_local: np.ndarray) -> bytes:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(flow_local.tobytes())
-        h.update(class_res_local.tobytes())
-        h.update(cap_eff.tobytes())
-        h.update(caps_local.tobytes())
-        h.update(np.float64(self.fairness_slack).tobytes())
-        return h.digest()
-
-    def _maxmin_rates_sharded(self, idx: np.ndarray
-                              ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Partitioned solve of one oversized (fused) solve set.
-
-        Splits the touched resources into ``shards`` balanced parts with
-        a bounded cut (see :meth:`_shard_labels`), solves each part as an
-        independent sub-network — worker pool or in-process, with a
-        digest-keyed result cache so ticks that disturb one shard
-        re-solve one shard — and reconciles the classes crossing the cut
-        by a fixed-point loop: every cut class is pinned at the minimum
-        rate any of its shards granted, and shards re-solve with the pin
-        as the class's effective rate cap until pins stop moving. Pins
-        are monotonically non-increasing (a pinned class can only get
-        less), so the loop converges; if it is still moving by more than
-        ``fairness_slack`` after ``_SHARD_MAX_RECONCILE`` rounds the tick
-        falls back to the exact solve. Returns ``None`` whenever the
-        sharded path declines (caller falls back).
-        """
-        slack = self.fairness_slack
-        if slack <= 0.0 or self.shards <= 1:
-            return None
-        present, inverse, mult = np.unique(
-            self._slot_class[idx], return_inverse=True, return_counts=True)
-        if present.size < _SHARD_MIN_CLASSES:
-            return None
-        cres = self._class_res[present]           # (C, K)
-        cvalid = cres >= 0                        # (C, K)
-        ccaps = self._class_cap[present]          # (C,)
-        cmult = mult.astype(float)                # (C,)
-        nclasses = present.size
-        res_ids = np.unique(cres[cvalid])
-        if res_ids.size < 2:
-            return None
-        caps_t = self._capacities[res_ids]
-        k = min(self.shards, int(res_ids.size))
-
-        # Per valid (class, slot) entry: local resource id + part label.
-        ci, ki = np.nonzero(cvalid)
-        ent_local = np.searchsorted(res_ids, cres[ci, ki])
-        # The bandwidth a class could pull across a cut edge: its
-        # multiplicity times the tightest of its own cap and the
-        # smallest capacity it touches.
-        min_res_cap = np.full(nclasses, np.inf)
-        np.minimum.at(min_res_cap, ci, caps_t[ent_local])
-        class_w = cmult * np.minimum(ccaps, min_res_cap)
-
-        labels = self._shard_labels(res_ids, ci, ent_local, class_w,
-                                    caps_t, k)
-        ent_lab = labels[ent_local]
-        touches = np.zeros((nclasses, k), dtype=bool)
-        touches[ci, ent_lab] = True
-        cut = touches.sum(axis=1) > 1
-        has_res = cvalid[:, 0]
-
-        # Acceptance gate: the bandwidth crossing the cut must be within
-        # the fairness slack of the smallest shard, otherwise shard
-        # interactions could shift rates beyond the promised deviation.
-        part_caps = np.bincount(labels, weights=caps_t, minlength=k)
-        cut_w = float(class_w[cut].sum())
-        live_caps = part_caps[part_caps > 0]
-        if cut_w > slack * float(live_caps.min()):
-            self._stat_shard_rejects += 1
-            return None
-
-        # Static per-part structures (only effective caps change across
-        # reconciliation iterations).
-        parts = []
-        local_map = np.full(res_ids.size, -1, dtype=np.int64)
-        for p in range(k):
-            res_local = np.nonzero(labels == p)[0]
-            cls_rows = np.nonzero(touches[:, p])[0]
-            if res_local.size == 0 or cls_rows.size == 0:
-                continue
-            local_map.fill(-1)
-            local_map[res_local] = np.arange(res_local.size)
-            sub = cres[cls_rows]                  # (c_p, K) global ids
-            sub_valid = sub >= 0
-            loc = local_map[np.searchsorted(
-                res_ids, np.where(sub_valid, sub, res_ids[0]))]
-            # -1 for padding AND for resources living in other parts
-            # (a cut class keeps only its local resources here).
-            ent = np.where(sub_valid, loc, -1)
-            order = np.argsort(ent < 0, axis=1, kind="stable")
-            class_res_local = np.ascontiguousarray(
-                np.take_along_axis(ent, order, axis=1))
-            fmask = touches[:, p][inverse]
-            flow_local = np.searchsorted(cls_rows, inverse[fmask])
-            _uniq, first_idx = np.unique(flow_local, return_index=True)
-            parts.append((cls_rows, class_res_local,
-                          np.ascontiguousarray(caps_t[res_local]),
-                          np.ascontiguousarray(flow_local), first_idx))
-        if len(parts) < 2:
-            # Every class landed in one shard: nothing to parallelise or
-            # range-reduce; the plain solve is strictly cheaper.
-            self._stat_shard_rejects += 1
-            return None
-
-        pins = np.full(nclasses, np.inf)
-        rate_class = np.full(nclasses, np.inf)
-        iters = 0
-        converged = False
-        residual = math.inf
-        for _ in range(_SHARD_MAX_RECONCILE):
-            iters += 1
-            rate_class.fill(np.inf)
-            pending: List[ShardProblem] = []
-            pending_keys: List[bytes] = []
-            pending_parts: List[int] = []
-            results: List[Optional[np.ndarray]] = [None] * len(parts)
-            for pi, (cls_rows, cres_l, caps_l, flow_l, first) in \
-                    enumerate(parts):
-                cap_eff = np.ascontiguousarray(
-                    np.minimum(ccaps[cls_rows], pins[cls_rows]))
-                key = self._shard_key(flow_l, cres_l, cap_eff, caps_l)
-                hit = self._shard_cache.get(key)
-                if hit is not None:
-                    results[pi] = hit
-                    self._stat_shard_cache_hits += 1
-                else:
-                    pending.append(ShardProblem(flow_l, cres_l, cap_eff,
-                                                caps_l, slack))
-                    pending_keys.append(key)
-                    pending_parts.append(pi)
-            if pending:
-                solved = self._solve_shard_problems(pending)
-                self._stat_shard_solves += len(pending)
-                for key, pi, (rate_f, _used) in zip(
-                        pending_keys, pending_parts, solved):
-                    cls_rate = rate_f[parts[pi][4]]
-                    if len(self._shard_cache) >= _SHARD_CACHE_MAX:
-                        self._shard_cache.clear()
-                    self._shard_cache[key] = cls_rate
-                    results[pi] = cls_rate
-            for pi, (cls_rows, _cr, _cl, _fl, _fi) in enumerate(parts):
-                # A cut class's rate is the tightest of its shards'.
-                rate_class[cls_rows] = np.minimum(rate_class[cls_rows],
-                                                  results[pi])
-            if cut.any():
-                old = pins[cut]
-                new = rate_class[cut]
-                with np.errstate(invalid="ignore"):
-                    rel = np.abs(new - old) / np.maximum(new, 1e-30)
-                residual = float(rel.max())
-                pins[cut] = np.minimum(old, new)
-            else:
-                residual = 0.0
-            if residual <= _SHARD_CONVERGED:
-                converged = True
-                break
-        if not converged and residual > slack:
-            # The fixed point is still moving beyond the promised error
-            # bound: give this tick to the exact solver.
-            self._stat_shard_fallbacks += 1
-            return None
-
-        self._stat_sharded_ticks += 1
-        self._stat_shard_reconcile_iters += iters
-        self._stat_shard_cut_bytes += cut_w
-        imbalance = float(part_caps.max() * k / part_caps.sum())
-        if imbalance > self._stat_shard_max_imbalance:
-            self._stat_shard_max_imbalance = imbalance
-        self._stat_shard_count_last = len(parts)
-
-        # Capless classes are bounded by their own (finite) cap only.
-        rate_class = np.where(has_res, rate_class, ccaps)
-        rate = rate_class[inverse]
-        np.maximum(rate, 1e-12, out=rate)
-        # Consumed bandwidth from the final class rates; feasible by
-        # construction (each shard allocated within its capacities and
-        # cut classes only ever shrank below what any shard budgeted).
-        used = np.zeros(self._capacities.size, dtype=float)
-        np.add.at(used, cres[ci, ki], (rate_class * cmult)[ci])
-        return rate, used

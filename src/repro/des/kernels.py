@@ -388,11 +388,8 @@ def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
     """Vectorised flow-class water-filling over an explicit class table.
 
     The ``python`` kernel: ``FlowNetwork._maxmin_rates`` calls it on the
-    network's interned class tables, and callers that hold their own
-    packed tables — shard workers solving a sub-network, the sharded
-    solver's reconciliation loop — run the exact same floating-point
-    operation sequence through it. Returns ``(rate, cap_used)`` like
-    :meth:`MaxminKernel.solve`.
+    network's interned class tables when the C kernel is not in use.
+    Returns ``(rate, cap_used)`` like :meth:`MaxminKernel.solve`.
     """
     nres = capacities.size
     batch = 1.0 + fairness_slack + 1e-12

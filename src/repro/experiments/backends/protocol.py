@@ -23,8 +23,8 @@ The handshake, worker side first::
 
 ``welcome`` carries the coordinator's run-mode environment
 (:data:`MODE_ENV_KEYS`) so a worker launched in a vanilla shell still
-runs tasks under the exact solver/kernel modes the coordinator's cache
-keys assume. Then, repeatedly::
+runs tasks under the exact fast/kernel modes the coordinator's
+cache keys assume. Then, repeatedly::
 
     coord   -> {"type": "run", "tasks": [(task_id, SweepTask), ...]}
     worker  -> {"type": "result", "task_id": ..., "ok": True,

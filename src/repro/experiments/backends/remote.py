@@ -17,7 +17,7 @@ Scheduling properties:
   result cache), so a stale checkout can never contribute results that
   the cache would file under the wrong key. The coordinator's run-mode
   environment rides along in the ``welcome`` so both sides resolve
-  identical solver/kernel modes.
+  identical fast/kernel modes.
 - **dynamic chunking** — batch sizes shrink as the pending queue
   drains (~2 chunks in flight per worker, capped), so slow tails are
   spread instead of parked on one worker.

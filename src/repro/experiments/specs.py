@@ -105,6 +105,15 @@ def _require_int(spec: Dict[str, Any], key: str, minimum: int) -> None:
             f"got {value!r}")
 
 
+def _require_known(spec: Dict[str, Any], key: str,
+                   known: Dict[str, Any]) -> None:
+    value = spec[key]
+    # Test the type first: a list or dict value cannot be looked up.
+    if not isinstance(value, str) or value not in known:
+        raise SpecError(
+            f"unknown {key} {value!r}; known: {sorted(known)}")
+
+
 def validate_spec(spec: Any) -> Dict[str, Any]:
     """Check that ``spec`` is a well-formed sweep spec; return it.
 
@@ -122,9 +131,7 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
     for key in ("preset", "ncores", "strategy"):
         if key not in spec:
             raise SpecError(f"a sweep spec needs {key!r}; got {sorted(spec)}")
-    if spec["preset"] not in PRESETS:
-        raise SpecError(
-            f"unknown preset {spec['preset']!r}; known: {sorted(PRESETS)}")
+    _require_known(spec, "preset", PRESETS)
     _require_int(spec, "ncores", 1)
     strategy = spec["strategy"]
     if not isinstance(strategy, dict) or "kind" not in strategy:
@@ -138,22 +145,18 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
         raise SpecError(
             f"unknown strategy field(s): {sorted(unknown)} "
             f"(known: {sorted(_STRATEGY_KEYS)})")
-    if "compression" in strategy \
-            and strategy["compression"] not in _COMPRESSION:
-        raise SpecError(
-            f"unknown compression {strategy['compression']!r}; "
-            f"known: {sorted(_COMPRESSION)}")
+    if "compression" in strategy:
+        _require_known(strategy, "compression", _COMPRESSION)
+    if "stripe_size" in strategy:
+        _require_int(strategy, "stripe_size", 1)
     if "seed" in spec:
         _require_int(spec, "seed", 0)
     if "write_phases" in spec:
         _require_int(spec, "write_phases", 1)
     if "nvariables" in spec:
         _require_int(spec, "nvariables", 1)
-    if "run_compression" in spec \
-            and spec["run_compression"] not in _COMPRESSION:
-        raise SpecError(
-            f"unknown run_compression {spec['run_compression']!r}; "
-            f"known: {sorted(_COMPRESSION)}")
+    if "run_compression" in spec:
+        _require_known(spec, "run_compression", _COMPRESSION)
     if "faults" in spec and spec["faults"]:
         from repro.faults import FaultSchedule
         from repro.faults.schedule import FaultScheduleError

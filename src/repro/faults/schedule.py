@@ -43,6 +43,7 @@ Fault classes
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -73,6 +74,21 @@ _SLOWDOWN_KINDS = frozenset({"straggler", "mds_brownout"})
 #: Kinds that target node indices.
 _NODE_KINDS = frozenset({"node_crash", "correlated_crash", "straggler",
                          "nic_degrade"})
+#: Float fields. JSON readers accept ``NaN`` and ``Infinity``, which
+#: pass every range check; an infinite window would never recover.
+_FLOAT_FIELDS = ("time", "duration", "factor", "stagger", "compute_factor")
+
+
+def _indices(raw: Any) -> Tuple[int, ...]:
+    if not isinstance(raw, (list, tuple)):
+        raise TypeError(raw)
+    return tuple(int(n) for n in raw)
+
+
+#: ``FaultSpec.from_dict``'s conversion of each plain-data field.
+_CONVERT = {"kind": str, "nodes": _indices, "targets": _indices,
+            "extra_revokes": int, "label": str,
+            **dict.fromkeys(_FLOAT_FIELDS, float)}
 
 
 @dataclass(frozen=True)
@@ -107,6 +123,11 @@ class FaultSpec:
             raise FaultScheduleError(
                 f"unknown fault kind {self.kind!r}; known kinds: "
                 f"{sorted(FAULT_KINDS)}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise FaultScheduleError(
+                    f"{self.kind}: {name} must be finite, got {value}")
         if self.time < 0:
             raise FaultScheduleError(
                 f"{self.kind}: injection time must be >= 0, got {self.time}")
@@ -170,29 +191,27 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, raw: Dict[str, Any]) -> "FaultSpec":
-        known = {"kind", "time", "duration", "nodes", "targets", "factor",
-                 "stagger", "compute_factor", "extra_revokes", "label"}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise FaultScheduleError(
+                f"a fault spec is a dict, got {type(raw).__name__}")
+        unknown = set(raw) - set(_CONVERT)
         if unknown:
             raise FaultScheduleError(
                 f"unknown fault spec field(s): {sorted(unknown)} "
-                f"(known: {sorted(known)})")
+                f"(known: {sorted(_CONVERT)})")
         if "kind" not in raw or "time" not in raw or "duration" not in raw:
             raise FaultScheduleError(
                 f"a fault spec needs 'kind', 'time' and 'duration'; "
                 f"got {sorted(raw)}")
-        return cls(
-            kind=str(raw["kind"]),
-            time=float(raw["time"]),
-            duration=float(raw["duration"]),
-            nodes=tuple(int(n) for n in raw.get("nodes", ())),
-            targets=tuple(int(t) for t in raw.get("targets", ())),
-            factor=float(raw.get("factor", 1.0)),
-            stagger=float(raw.get("stagger", 0.0)),
-            compute_factor=float(raw.get("compute_factor", 1.0)),
-            extra_revokes=int(raw.get("extra_revokes", 1)),
-            label=str(raw.get("label", "")),
-        )
+        fields: Dict[str, Any] = {}
+        for name, value in raw.items():
+            try:
+                fields[name] = _CONVERT[name](value)
+            except (TypeError, ValueError, OverflowError):
+                raise FaultScheduleError(
+                    f"fault spec field {name!r}: cannot convert "
+                    f"{value!r}") from None
+        return cls(**fields)
 
 
 @dataclass(frozen=True)

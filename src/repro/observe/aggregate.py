@@ -86,7 +86,7 @@ def solver_table(tracer: Tracer) -> List[Dict[str, object]]:
     for actor in sorted(last):
         event = last[actor]
         attrs = event.attrs
-        row = {
+        rows.append({
             "actor": actor,
             "solver": attrs.get("solver", "?"),
             # Traces recorded before the compiled kernel existed carry
@@ -99,20 +99,7 @@ def solver_table(tracer: Tracer) -> List[Dict[str, object]]:
             "flows_solved": int(attrs.get("flows_solved", 0)),
             "kernel_solves": int(attrs.get("kernel_solves", 0)),
             "live_comps": int(attrs.get("live", 0)),
-        }
-        if "shards" in attrs:
-            # Sharded-solver traces carry the partition counters; other
-            # solvers never emit them, so their tables keep the narrow
-            # column set older fixtures were rendered with.
-            row.update({
-                "shards": int(attrs.get("shards", 0)),
-                "shard_solves": int(attrs.get("shard_solves", 0)),
-                "cut_bytes": float(attrs.get("shard_cut_bytes", 0.0)),
-                "imbalance": float(attrs.get("shard_imbalance", 0.0)),
-                "reconcile_iters": int(
-                    attrs.get("shard_reconcile_iters", 0)),
-            })
-        rows.append(row)
+        })
     return rows
 
 

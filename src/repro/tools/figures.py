@@ -10,8 +10,6 @@ Usage::
     python -m repro.tools.figures --trace traces/ fig2   # record traces
     python -m repro.tools.figures --cache all         # reuse cached points
     python -m repro.tools.figures --cache --cache-dir /tmp/c fig4
-    python -m repro.tools.figures --solver global fig2   # debug escape hatch
-    python -m repro.tools.figures --solver sharded --shards 8 fig4
     python -m repro.tools.figures --kernel python fig4    # numpy solve
     python -m repro.tools.figures faults                  # fault degradation
     python -m repro.tools.figures --faults my_schedule.json faults

@@ -16,9 +16,7 @@ structural form of the paper's jitter-hiding claim). The solver table
 reports how the flow-network share recomputations were served: full
 water-filling solves vs component-partitioned solves vs incremental
 fast-path grants, and which water-filling kernel (python/compiled)
-served them; traces recorded with ``REPRO_SOLVER=sharded`` additionally
-carry the shard counters (shard count, shard solves, cut bytes,
-capacity imbalance and reconciliation iterations). The backend table (``--by backend``; appears in the
+served them. The backend table (``--by backend``; appears in the
 summary when a ``REPRO_TRACE`` sweep recorded dispatch counters to
 ``sweep-backend.jsonl``) shows how each sweep backend moved its tasks:
 dispatches, completions, crash-recovery requeues, speculative

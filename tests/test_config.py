@@ -76,19 +76,16 @@ def test_only_the_config_table_touches_repro_env():
 
 
 def test_table_shape():
-    assert len(config.KNOBS) == 15
+    assert len(config.KNOBS) == 12
     assert all(name.startswith("REPRO_") for name in config.KNOBS)
     context = [knob.cache_key for knob in config.KNOBS.values()
                if knob.cache_key]
-    assert context == ["repro_fast", "repro_solver", "repro_kernel",
-                       "repro_shards"]
+    assert context == ["repro_fast", "repro_kernel"]
     assert MODE_ENV_KEYS == config.TASK_ENV == (
-        "REPRO_FAST", "REPRO_SOLVER", "REPRO_KERNEL", "REPRO_SHARDS",
-        "REPRO_SHARD_WORKERS", "REPRO_TRACE")
+        "REPRO_FAST", "REPRO_KERNEL", "REPRO_TRACE")
     flags = [flag for action in _parser()._actions
              for flag in action.option_strings if flag not in ("-h",
                                                                "--help")]
     assert sorted(flags) == [
         "--backend", "--cache", "--cache-dir", "--faults", "--kernel",
-        "--no-cache", "--parallel", "--shards", "--solver", "--trace",
-        "--workers"]
+        "--no-cache", "--parallel", "--trace", "--workers"]

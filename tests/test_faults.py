@@ -18,6 +18,7 @@ What these pin down:
 """
 
 import json
+import math
 
 import pytest
 
@@ -86,12 +87,26 @@ class TestFaultSchedule:
         with pytest.raises(FaultScheduleError):
             FaultSpec(kind="ost_brownout", time=0.0, duration=1.0,
                       factor=0.0)
+        # NaN and infinities pass every range check; an infinite window
+        # never recovers, so the run would never end.
+        for field in ("time", "duration", "factor", "stagger",
+                      "compute_factor"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(FaultScheduleError, match=field):
+                    FaultSpec(**{"kind": "straggler", "time": 0.0,
+                                 "duration": 1.0, "factor": 2.0,
+                                 field: value})
 
     def test_unknown_field_rejected(self):
+        good = {"kind": "straggler", "time": 0.0, "duration": 1.0,
+                "factor": 2.0, "nodes": [0]}
+        for bad in ({"blast_radius": 3}, {"time": "soon"}, {"nodes": 5},
+                    {"nodes": "12"}, {"targets": [None]},
+                    {"extra_revokes": math.inf}, {"factor": [2.0]}):
+            with pytest.raises(FaultScheduleError, match=next(iter(bad))):
+                FaultSpec.from_dict({**good, **bad})
         with pytest.raises(FaultScheduleError):
-            FaultSpec.from_dict({"kind": "straggler", "time": 0.0,
-                                 "duration": 1.0, "factor": 2.0,
-                                 "blast_radius": 3})
+            FaultSchedule.from_dict({"faults": [5]})
 
     def test_round_trip(self, tmp_path):
         schedule = default_fault_schedule()

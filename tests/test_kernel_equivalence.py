@@ -25,7 +25,7 @@ import pytest
 from repro.des import FlowNetwork, Simulator, kernels
 from repro.des.kernels import (compiled_kernel, kernel_status,
                                maxmin_class_solve_py, resolve_kernel)
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 
 needs_compiled = pytest.mark.skipif(kernel_status() == "unavailable",
                                     reason="no C compiler")
@@ -221,6 +221,14 @@ def test_resolve_kernel_env_and_validation(monkeypatch):
     assert resolve_kernel("python") == "python"  # argument beats env
     with pytest.raises(SimulationError):
         resolve_kernel("fortran")
+    # A bad mode fails at network construction, naming the options.
+    with pytest.raises(SimulationError) as err:
+        FlowNetwork(Simulator(), kernel="gpu")
+    for option in ("compiled", "python"):
+        assert option in str(err.value)
+    monkeypatch.setenv("REPRO_KERNEL", "rust")
+    with pytest.raises(ConfigurationError, match="REPRO_KERNEL"):
+        FlowNetwork(Simulator())
 
 
 def test_default_kernel_falls_back_to_python(monkeypatch):

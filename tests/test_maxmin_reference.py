@@ -6,9 +6,7 @@ rate caps — the textbook algorithm, no numpy, no equivalence classes.
 The property suite asserts that ``FlowNetwork._maxmin_rates`` (the
 flow-class solve, in numpy or the compiled kernel) matches it at
 ``fairness_slack=0`` on randomized flow sets — parametrized over the
-component and global solvers and both kernels (the sharded solver never
-partitions at zero slack, so it would only rerun the component path;
-``tests/test_shards.py`` pins that it declines there) — and that the
+component and global solvers and both kernels — and that the
 standard max-min invariants hold: capacity conservation, per-flow caps
 respected, and work conservation (every flow is limited by its cap or
 by a saturated resource).

@@ -105,11 +105,6 @@ def _boom(x):
     raise ValueError(f"task {x} exploded")
 
 
-def _read_mode_env():
-    return {"fast": os.environ.get("REPRO_FAST"),
-            "solver": os.environ.get("REPRO_SOLVER")}
-
-
 def _laggard(sentinel, x):
     """First caller (exclusive sentinel create) sleeps; later ones are
     instant — so whichever replica runs second wins the race."""

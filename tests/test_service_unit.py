@@ -9,6 +9,7 @@ validation. The full wire path is exercised in ``test_service.py``.
 
 import asyncio
 import json
+import math
 
 import pytest
 
@@ -275,6 +276,24 @@ def test_validate_payload_rejects_junk():
         validate_job_payload({"specs": [make_spec()], "priority": 99})
     with pytest.raises(InvalidSpecError):
         validate_job_payload({"specs": [make_spec()], "priority": True})
+    # Unhashable or mistyped values a JSON body can carry: each must be
+    # a 400, never an exception escaping admission as a 500, and never
+    # admitted to fail later in a worker.
+    straggler = {"kind": "straggler", "time": 1.0, "duration": 1.0,
+                 "factor": 2.0, "nodes": [0]}
+    junk = [make_spec(preset=["kraken"]),
+            make_spec(run_compression={"a": 1})]
+    for strategy in ({"compression": ["gzip"]}, {"stripe_size": "big"},
+                     {"stripe_size": 0}, {"stripe_size": -1}):
+        junk.append(make_spec(kind="collective"))
+        junk[-1]["strategy"].update(strategy)
+    for fault in ({"duration": math.inf}, {"time": math.inf},
+                  {"time": math.nan}, {"factor": math.nan},
+                  {"time": "soon"}, {"nodes": 5}):
+        junk.append(make_spec(faults={"faults": [{**straggler, **fault}]}))
+    for spec in junk:
+        with pytest.raises(InvalidSpecError):
+            validate_job_payload(json.loads(json.dumps({"specs": [spec]})))
 
 
 def test_validate_payload_pinpoints_bad_spec():

@@ -2,18 +2,19 @@
 
 The tentpole property: at ``fairness_slack=0`` exact max-min fairness
 decomposes over connected components of the resource-contention graph,
-so ``REPRO_SOLVER=component`` (solve only the dirty components) must be
+so ``solver="component"`` (solve only the dirty components) must be
 *bit-identical* — completion times, bytes moved, rate trajectories — to
-``REPRO_SOLVER=global`` (re-solve everything on every change). The storm
+``solver="global"`` (re-solve everything on every change). The storm
 tests here throw randomized multi-component workloads with arrivals,
 rate caps, cancellations, capacity changes and component-bridging flows
 at both solvers and diff the full observable outcome.
 
 Also covered: the union-find component registry (merge on arrival, lazy
 split on rebuild), the per-component completion targets feeding the
-tick, solver selection (argument vs ``REPRO_SOLVER``), the solver
-statistics surfaced through the tracer and ``tracereport``, and
-serial-vs-parallel sweep determinism under the component solver.
+tick, batching several dirty components into one kernel call, solver
+selection, the solver statistics surfaced through the tracer and
+``tracereport``, and serial-vs-parallel sweep determinism under the
+component solver.
 """
 
 import math
@@ -23,7 +24,7 @@ import pytest
 
 from repro.des import FlowNetwork, Simulator
 from repro.des.bandwidth import SOLVER_COMPONENT, SOLVER_GLOBAL
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 
 
 # ---------------------------------------------------------------------- #
@@ -231,38 +232,17 @@ def test_component_targets_merge_to_tick_target():
 # ---------------------------------------------------------------------- #
 # solver selection
 # ---------------------------------------------------------------------- #
-def test_solver_argument_beats_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_SOLVER", "global")
-    net = FlowNetwork(Simulator(), solver="component")
-    assert net.solver == SOLVER_COMPONENT
-
-
-def test_solver_from_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_SOLVER", "global")
-    assert FlowNetwork(Simulator()).solver == SOLVER_GLOBAL
-    monkeypatch.setenv("REPRO_SOLVER", "component")
+def test_invalid_solver_rejected():
     assert FlowNetwork(Simulator()).solver == SOLVER_COMPONENT
-    monkeypatch.delenv("REPRO_SOLVER")
-    assert FlowNetwork(Simulator()).solver == SOLVER_COMPONENT
-
-
-def test_invalid_solver_rejected(monkeypatch):
-    with pytest.raises(SimulationError):
-        FlowNetwork(Simulator(), solver="quantum")
-    monkeypatch.setenv("REPRO_SOLVER", "fast")
-    with pytest.raises(ConfigurationError):
-        FlowNetwork(Simulator())
-
-
-def test_machine_solver_passthrough():
-    from repro.cluster.machine import Machine, MachineSpec
-
-    spec = MachineSpec(nodes=1, cores_per_node=2)
-    machine = Machine(spec, solver="global")
-    assert machine.flows.solver == SOLVER_GLOBAL
+    with pytest.raises(SimulationError) as err:
+        FlowNetwork(Simulator(), solver="sharded")
+    for option in (SOLVER_COMPONENT, SOLVER_GLOBAL):
+        assert repr(option) in str(err.value)
 
 
 def test_solver_mode_folded_into_cache_context(monkeypatch):
+    """The solver is a keyword, not an environment mode: the sweep
+    cache context holds exactly the fast and kernel modes."""
     from repro.config import KNOBS
     from repro.des.kernels import kernel_status
     from repro.experiments.executor import env_mode_context
@@ -270,12 +250,9 @@ def test_solver_mode_folded_into_cache_context(monkeypatch):
     for name in KNOBS:
         monkeypatch.delenv(name, raising=False)
     assert env_mode_context() == {
-        "repro_fast": False, "repro_solver": SOLVER_COMPONENT,
+        "repro_fast": False,
         "repro_kernel": ("python" if kernel_status() == "unavailable"
-                         else "compiled"),
-        "repro_shards": 4}
-    monkeypatch.setenv("REPRO_SOLVER", "global")
-    assert env_mode_context()["repro_solver"] == SOLVER_GLOBAL
+                         else "compiled")}
 
 
 # ---------------------------------------------------------------------- #
@@ -320,6 +297,61 @@ def test_tick_heap_stays_small_under_churn():
     sim.run()
     assert net.completed_flows == 300
     assert peak[0] <= 4
+
+
+# ---------------------------------------------------------------------- #
+# batched same-tick component solves
+# ---------------------------------------------------------------------- #
+def _disjoint_batch_run(solver):
+    sim = Simulator()
+    net = FlowNetwork(sim, solver=solver)
+    links = [net.add_capacity(f"l{i}", 1e8 * (i + 1)) for i in range(6)]
+    for i, link in enumerate(links):
+        for w in range(3):
+            net.transfer([link], 5e6, rate_cap=2e7 * (1 + 0.3 * w),
+                         label=f"w{i}.{w}")
+    # Same-tick capless arrivals on several disjoint components: the
+    # fast path cannot absorb them, so the recompute sees multiple
+    # dirty roots at once — the batched single-kernel invocation.
+    def late_arrivals():
+        for i in (0, 2, 4):
+            net.transfer([links[i]], 3e6, label=f"late{i}")
+    sim.schedule_callback(0.01, late_arrivals)
+    sim.run()
+    return net, sim.now
+
+
+def test_batched_component_solves_bit_identical_to_global():
+    comp, t_comp = _disjoint_batch_run(SOLVER_COMPONENT)
+    glob, t_glob = _disjoint_batch_run(SOLVER_GLOBAL)
+    assert comp.solver_stats["batched_solves"] >= 1
+    assert glob.solver_stats["batched_solves"] == 0
+    assert comp.total_bytes_moved == glob.total_bytes_moved
+    assert comp.completed_flows == glob.completed_flows
+    assert t_comp == t_glob
+
+
+def test_batched_solves_counted_in_stats_and_trace():
+    from repro.observe import Tracer, solver_table
+
+    sim = Simulator()
+    tracer = Tracer(clock=lambda: sim.now, clock_name="sim")
+    sim.tracer = tracer
+    net = FlowNetwork(sim, solver=SOLVER_COMPONENT)
+    links = [net.add_capacity(f"l{i}", 1e9) for i in range(4)]
+    for link in links:
+        net.transfer([link], 1e6, rate_cap=5e5)
+
+    def burst():
+        # Only a subset of the components: dirtying all of them would
+        # take the whole-network shortcut instead of the batched path.
+        for link in links[:2]:
+            net.transfer([link], 1e6)
+    sim.schedule_callback(0.01, burst)
+    sim.run()
+    assert net.solver_stats["batched_solves"] >= 1
+    rows = solver_table(tracer)
+    assert rows and rows[0]["solver"] == SOLVER_COMPONENT
 
 
 # ---------------------------------------------------------------------- #

@@ -24,10 +24,6 @@ TOOLS_ENV = dict(os.environ,
                                          "src"))
 TRACE_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
                              "trace_grid5000_damaris.jsonl")
-#: A REPRO_SOLVER=sharded run of a small weakly coupled ladder storm;
-#: its solver events carry the shard counters the wider table shows.
-SHARDED_TRACE_FIXTURE = os.path.join(os.path.dirname(__file__), "data",
-                                     "trace_sharded_storm.jsonl")
 
 
 def run_tool(*argv, check=True, timeout=120, env=None):
@@ -115,17 +111,6 @@ class TestTracereport:
         out = run_tool("repro.tools.tracereport", TRACE_FIXTURE,
                        "--by", by).stdout
         assert expect in out
-
-    def test_sharded_trace_prints_shard_counters(self):
-        out = run_tool("repro.tools.tracereport", SHARDED_TRACE_FIXTURE,
-                       "--by", "solver").stdout
-        for column in ("shards", "shard_solves", "cut_bytes",
-                       "imbalance", "reconcile_iters"):
-            assert column in out, out
-        # The non-sharded fixture keeps the narrow pre-shard table.
-        narrow = run_tool("repro.tools.tracereport", TRACE_FIXTURE,
-                          "--by", "solver").stdout
-        assert "cut_bytes" not in narrow, narrow
 
     def test_missing_file_is_clean_error(self, tmp_path):
         proc = run_tool("repro.tools.tracereport",
