@@ -22,8 +22,12 @@ Five scenarios exercise the simulator's hot paths:
   faster end-to-end;
 - ``heap_churn``: 2000 staggered short flows through one shared link —
   dominated by event-queue traffic and completion-tick scheduling;
+- ``collective_phase``: one 1-phase Kraken collective-I/O spec at 4608
+  ranks (576 under ``--smoke``) — the two-phase MPI-IO model at paper
+  scale, where per-rank passes over all ranks would cost O(P²);
 - ``fig2_sweep``: the full Fig. 2 driver in ``REPRO_FAST`` mode —
-  the end-to-end pipeline a paper figure actually pays for.
+  the end-to-end pipeline a paper figure actually pays for; its
+  ``rows_digest`` pins every figure row.
 
 Run directly (not via pytest) to (re)produce the JSON baseline::
 
@@ -277,17 +281,41 @@ def bench_heap_churn(nflows: int = 2000):
     }
 
 
+def bench_collective_phase(ncores: int = 4608):
+    """One write phase of the collective-I/O baseline on Kraken (seed
+    42): allgather, alltoallv exchange and aggregator writes of
+    ``ncores`` ranks, run through the spec entry point."""
+    from repro.experiments.specs import run_spec
+
+    spec = {"preset": "kraken", "ncores": ncores,
+            "strategy": {"kind": "collective"}, "seed": 42,
+            "write_phases": 1}
+    t0 = time.perf_counter()
+    result = run_spec(spec)
+    elapsed = time.perf_counter() - t0
+    return {
+        "wall_s": round(elapsed, 3),
+        "ncores": ncores,
+        "phase_s": result.phases[0].duration,
+        "run_time": result.run_time,
+    }
+
+
 def bench_fig2_sweep():
     """The Fig. 2 driver end-to-end in fast mode (trimmed scales)."""
+    import hashlib
+
     os.environ["REPRO_FAST"] = "1"
     from repro.experiments import figures
 
     t0 = time.perf_counter()
     report = figures.fig2_write_phase_kraken()
     elapsed = time.perf_counter() - t0
+    rows = json.dumps(report.rows, sort_keys=True).encode()
     return {
         "wall_s": round(elapsed, 3),
         "rows": len(report.rows),
+        "rows_digest": hashlib.sha256(rows).hexdigest()[:16],
         "scales": list(figures.kraken_scales()),
     }
 
@@ -384,6 +412,7 @@ def main(argv=None) -> int:
             "mega_storm": bench_mega_storm(
                 nnodes=128, ntargets=16, writers=4, require_speedup=False),
             "heap_churn": bench_heap_churn(nflows=200),
+            "collective_phase": bench_collective_phase(ncores=576),
         }
     else:
         results = {
@@ -391,6 +420,7 @@ def main(argv=None) -> int:
             "component_storm": bench_component_storm(),
             "mega_storm": bench_mega_storm(),
             "heap_churn": bench_heap_churn(),
+            "collective_phase": bench_collective_phase(),
             "fig2_sweep": bench_fig2_sweep(),
         }
 

@@ -4,8 +4,20 @@ Every MPI call here is a generator *process*: rank code does
 ``yield from comm.barrier(rank)``. Collective matching follows MPI
 semantics — all ranks of a communicator must issue collectives in the same
 order; the k-th collective call of each rank joins the k-th rendezvous.
+The rendezvous records the collective's name and root from its first
+arrival, and a rank that joins it with another collective or root, or
+names a rank or root outside ``[0, size)``, raises :class:`MPIError`.
 
-Cost model:
+Bookkeeping that needs every rank's contribution runs once per
+rendezvous, in the last rank to arrive, before the rendezvous fires:
+``allgather`` builds one rank-ordered tuple that every rank receives
+(shared, so read-only), ``reduce``/``allreduce`` call ``op`` once, and
+``alltoallv`` — which takes a sparse ``{dst: nbytes}`` mapping per rank —
+totals every rank's egress, ingress and message count in one pass over
+the non-zero entries. Each rank then does O(1) work, so a collective
+costs O(P) Python time and memory, not O(P²).
+
+Cost model (simulated time):
 
 - point-to-point: per-message latency + a bandwidth-shared flow
   (src NIC → fabric → dst NIC);
@@ -21,7 +33,8 @@ Cost model:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.des.core import Event
 from repro.des.process import AllOf
@@ -34,17 +47,33 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["Communicator"]
 
 
+def _root_text(root: Optional[int]) -> str:
+    return "" if root is None else f"(root={root})"
+
+
 class _Rendezvous:
-    """One in-flight collective: counts arrivals, fires when complete."""
+    """One in-flight collective: counts arrivals, fires when complete.
 
-    __slots__ = ("expected", "arrived", "event", "payloads", "root_value")
+    ``name`` and ``root`` come from the first arrival; ``result`` is what
+    the collective hands back, set by the root (bcast) or by the last
+    arrival before the event fires (everything else)."""
 
-    def __init__(self, sim, expected: int) -> None:
+    __slots__ = ("expected", "arrived", "event", "payloads", "name", "root",
+                 "result")
+
+    def __init__(self, sim, expected: int, name: str,
+                 root: Optional[int]) -> None:
         self.expected = expected
         self.arrived = 0
         self.event = Event(sim)
         self.payloads: Dict[int, Any] = {}
-        self.root_value: Any = None
+        self.name = name
+        self.root = root
+        self.result: Any = None
+
+    def ordered(self) -> List[Any]:
+        """Every rank's payload, in rank order."""
+        return [self.payloads[r] for r in range(self.expected)]
 
 
 class Communicator:
@@ -94,13 +123,24 @@ class Communicator:
     # ------------------------------------------------------------------ #
     # collective plumbing
     # ------------------------------------------------------------------ #
-    def _join(self, rank: int) -> _Rendezvous:
+    def _join(self, rank: int, name: str,
+              root: Optional[int] = None) -> _Rendezvous:
+        size = self.size
+        if not 0 <= rank < size:
+            raise MPIError(f"{name}: rank {rank} out of range [0, {size})")
+        if root is not None and not 0 <= root < size:
+            raise MPIError(f"{name}: root {root} out of range [0, {size})")
         seq = self._rank_seq[rank]
-        self._rank_seq[rank] = seq + 1
         rdv = self._pending.get(seq)
         if rdv is None:
-            rdv = self._pending[seq] = _Rendezvous(self.machine.sim,
-                                                   self.size)
+            rdv = self._pending[seq] = _Rendezvous(self.machine.sim, size,
+                                                   name, root)
+        elif rdv.name != name or rdv.root != root:
+            raise MPIError(
+                f"collective mismatch: rank {rank} called {name}"
+                f"{_root_text(root)} where other ranks called "
+                f"{rdv.name}{_root_text(rdv.root)}")
+        self._rank_seq[rank] = seq + 1
         rdv.arrived += 1
         if rdv.arrived == rdv.expected:
             del self._pending[seq]
@@ -114,7 +154,7 @@ class Communicator:
     # ------------------------------------------------------------------ #
     def barrier(self, rank: int):
         """Process: synchronise all ranks."""
-        rdv = self._join(rank)
+        rdv = self._join(rank, "barrier")
         if rdv.arrived == rdv.expected:
             rdv.event.succeed(delay=self.latency * self._tree_depth())
         yield rdv.event
@@ -126,28 +166,27 @@ class Communicator:
         Returns the broadcast value. Volume ``nbytes`` is charged as
         log₂(P) store-and-forward rounds of NIC time.
         """
-        rdv = self._join(rank)
+        rdv = self._join(rank, "bcast", root)
         if rank == root:
-            rdv.root_value = value
+            rdv.result = value
         if rdv.arrived == rdv.expected:
             per_round = nbytes / self.machine.spec.nic_bandwidth
             delay = self._tree_depth() * (self.latency + per_round)
             rdv.event.succeed(delay=delay)
         yield rdv.event
-        return rdv.root_value
+        return rdv.result
 
     def gather(self, rank: int, value: Any, root: int = 0,
                nbytes: float = 0.0):
         """Process: gather per-rank values at the root; root gets the list
         (indexed by rank), others get None."""
-        rdv = self._join(rank)
+        rdv = self._join(rank, "gather", root)
         rdv.payloads[rank] = value
         if rdv.arrived == rdv.expected:
+            rdv.result = rdv.ordered()
             self._finish_gather(rdv, root, nbytes)
         yield rdv.event
-        if rank == root:
-            return [rdv.payloads[r] for r in range(self.size)]
-        return None
+        return rdv.result if rank == root else None
 
     def _finish_gather(self, rdv: _Rendezvous, root: int,
                        nbytes: float) -> None:
@@ -162,10 +201,12 @@ class Communicator:
             lambda _evt: rdv.event.succeed(delay=self.latency))
 
     def allgather(self, rank: int, value: Any, nbytes: float = 0.0):
-        """Process: every rank gets the list of all values."""
-        rdv = self._join(rank)
+        """Process: every rank gets the rank-ordered tuple of all values
+        (one tuple, shared by every rank)."""
+        rdv = self._join(rank, "allgather")
         rdv.payloads[rank] = value
         if rdv.arrived == rdv.expected:
+            rdv.result = tuple(rdv.ordered())
             # Ring allgather: (P-1) rounds; each rank both sends and
             # receives nbytes per round — charge NIC time accordingly.
             per_round = nbytes / self.machine.spec.nic_bandwidth
@@ -173,70 +214,100 @@ class Communicator:
                 if self.size > 1 else self.latency
             rdv.event.succeed(delay=delay)
         yield rdv.event
-        return [rdv.payloads[r] for r in range(self.size)]
+        return rdv.result
 
     def reduce(self, rank: int, value: float, op: Callable = sum,
                root: int = 0):
         """Process: reduce scalar values to the root."""
-        rdv = self._join(rank)
+        rdv = self._join(rank, "reduce", root)
         rdv.payloads[rank] = value
         if rdv.arrived == rdv.expected:
+            rdv.result = op(rdv.ordered())
             rdv.event.succeed(delay=self.latency * self._tree_depth())
         yield rdv.event
-        if rank == root:
-            return op([rdv.payloads[r] for r in range(self.size)])
-        return None
+        return rdv.result if rank == root else None
 
     def allreduce(self, rank: int, value: float, op: Callable = sum):
         """Process: reduce and redistribute (everyone gets the result)."""
-        rdv = self._join(rank)
+        rdv = self._join(rank, "allreduce")
         rdv.payloads[rank] = value
         if rdv.arrived == rdv.expected:
+            rdv.result = op(rdv.ordered())
             rdv.event.succeed(delay=2 * self.latency * self._tree_depth())
         yield rdv.event
-        return op([rdv.payloads[r] for r in range(self.size)])
+        return rdv.result
 
-    def alltoallv(self, rank: int, send_bytes: Sequence[float]):
+    def alltoallv(self, rank: int, send_bytes: Mapping[int, float]):
         """Process: personalised all-to-all of ``send_bytes[dst]`` bytes.
 
-        The dominant costs are modelled as one egress flow (this rank's
-        NIC-tx + fabric, carrying its inter-node volume) and one ingress
-        flow (NIC-rx), plus per-destination message latency. Returns when
-        this rank's sends and receives have drained and all ranks arrived.
+        ``send_bytes`` is sparse: destinations it leaves out receive
+        nothing. The dominant costs are modelled as one egress flow (this
+        rank's NIC-tx + fabric, carrying its inter-node volume) and one
+        ingress flow (NIC-rx), plus per-destination message latency.
+        Returns when this rank's sends and receives have drained and all
+        ranks arrived.
         """
-        if len(send_bytes) != self.size:
+        if not isinstance(send_bytes, Mapping):
             raise MPIError(
-                f"alltoallv needs {self.size} send sizes, got "
-                f"{len(send_bytes)}")
-        rdv = self._join(rank)
+                f"alltoallv needs a {{dst: nbytes}} mapping, got "
+                f"{type(send_bytes).__name__}")
+        for dst, volume in send_bytes.items():
+            if not 0 <= dst < self.size:
+                raise MPIError(f"alltoallv: destination {dst} out of range "
+                               f"[0, {self.size})")
+            if not 0 <= volume < math.inf:
+                raise MPIError(f"alltoallv: volume to rank {dst} must be "
+                               f"finite and >= 0, got {volume!r}")
+        rdv = self._join(rank, "alltoallv")
         rdv.payloads[rank] = send_bytes
         if rdv.arrived == rdv.expected:
+            rdv.result = self._alltoallv_totals(rdv.ordered())
             rdv.event.succeed()
         yield rdv.event  # rendezvous: volumes of every rank known
 
+        egress, ingress, messages = rdv.result
         my_node = self.node_of(rank)
-        egress = sum(
-            volume for dst, volume in enumerate(send_bytes)
-            if volume > 0 and self.node_of(dst) is not my_node)
-        ingress = sum(
-            rdv.payloads[src][rank] for src in range(self.size)
-            if rdv.payloads[src][rank] > 0
-            and self.node_of(src) is not my_node)
-        msg_count = sum(1 for volume in send_bytes if volume > 0)
         flows = []
-        if egress > 0:
+        if rank in egress:
             path = [my_node.nic_tx]
             if self.machine.fabric is not None:
                 path.append(self.machine.fabric)
             flows.append(self.machine.flows.transfer(
-                path, egress, label="a2a-out").event)
-        if ingress > 0:
+                path, egress[rank], label="a2a-out").event)
+        if rank in ingress:
             flows.append(self.machine.flows.transfer(
-                [my_node.nic_rx], ingress, label="a2a-in").event)
-        if msg_count:
-            flows.append(self.machine.sim.timeout(self.latency * msg_count))
+                [my_node.nic_rx], ingress[rank], label="a2a-in").event)
+        if rank in messages:
+            flows.append(self.machine.sim.timeout(
+                self.latency * messages[rank]))
         if flows:
             yield AllOf(self.machine.sim, flows)
+
+    def _alltoallv_totals(self, sends: Sequence[Mapping[int, float]]
+                          ) -> Tuple[Dict[int, float], Dict[int, float],
+                                     Dict[int, int]]:
+        """Every rank's inter-node egress and ingress volume and message
+        count, from one pass over the non-zero entries of ``sends`` (one
+        mapping per rank, in rank order); ranks with none are left out.
+        Each total sums its volumes in ascending peer rank order."""
+        cores = self.cores
+        outgoing: Dict[int, List[float]] = {}
+        incoming: Dict[int, List[float]] = {}
+        messages: Dict[int, int] = {}
+        for src, row in enumerate(sends):
+            if not row:
+                continue
+            src_node = cores[src].node
+            for dst in sorted(row):
+                volume = row[dst]
+                if volume > 0:
+                    messages[src] = messages.get(src, 0) + 1
+                    if cores[dst].node is not src_node:
+                        outgoing.setdefault(src, []).append(volume)
+                        incoming.setdefault(dst, []).append(volume)
+        egress = {src: sum(vols) for src, vols in outgoing.items()}
+        ingress = {dst: sum(vols) for dst, vols in incoming.items()}
+        return egress, ingress, messages
 
     # ------------------------------------------------------------------ #
     # point-to-point

@@ -1,5 +1,7 @@
 """Unit/integration tests for the MPI-like layer and collective I/O."""
 
+import random
+
 import pytest
 
 from repro.cluster import Machine, MachineSpec, NoNoise
@@ -112,8 +114,10 @@ class TestCollectives:
         def prog(rank):
             return (yield from comm.allgather(rank, rank))
 
-        for result in run_ranks(machine, comm, prog):
-            assert result == [0, 1, 2, 3]
+        results = run_ranks(machine, comm, prog)
+        assert results[0] == (0, 1, 2, 3)
+        # One tuple, built once and shared by every rank.
+        assert all(result is results[0] for result in results)
 
     def test_reduce_and_allreduce(self):
         machine, comm = make_comm(nodes=1, cores=4)
@@ -128,27 +132,88 @@ class TestCollectives:
         assert results[3] == (None, 10)
 
     def test_alltoallv_validates_length(self):
-        machine, comm = make_comm(nodes=1, cores=2)
+        # A dense list is not a {dst: nbytes} mapping; rank 5 does not
+        # exist on 2 ranks; volumes must be finite and non-negative.
+        for sends in ([1.0], {5: 1.0}, {1: -1.0}, {1: float("nan")}):
+            machine, comm = make_comm(nodes=1, cores=2)
 
-        def prog(rank):
-            yield from comm.alltoallv(rank, [1.0])
+            def prog(rank, sends=sends):
+                yield from comm.alltoallv(rank, sends)
 
-        with pytest.raises(MPIError):
-            run_ranks(machine, comm, prog)
+            with pytest.raises(MPIError):
+                run_ranks(machine, comm, prog)
 
     def test_alltoallv_charges_network_time(self):
         machine, comm = make_comm(nodes=2, cores=2)
 
         def prog(rank):
-            sizes = [0.0] * comm.size
             # Everyone sends 1 GiB to the diagonally-opposite rank.
-            sizes[(rank + 2) % comm.size] = float(1 * GiB)
-            yield from comm.alltoallv(rank, sizes)
+            yield from comm.alltoallv(
+                rank, {(rank + 2) % comm.size: float(1 * GiB)})
             return machine.sim.now
 
         results = run_ranks(machine, comm, prog)
         # 2 GiB leaves each node through a 2 GiB/s NIC: ~1 s minimum.
         assert min(results) >= 1.0
+
+    def test_alltoallv_totals_match_dense_reference(self):
+        """The one sparse pass gives every rank exactly the egress,
+        ingress and message count of the per-rank dense formulas it
+        replaced, summed in the same order (9 ranks on 3 nodes)."""
+        machine, comm = make_comm(nodes=3, cores=3)
+        size = comm.size
+        rng = random.Random(7)
+        # Volumes of very different magnitudes make the float sums
+        # depend on their order; destinations are inserted unordered.
+        sends = [{dst: rng.choice([0.0, rng.random(), rng.random() * 1e12])
+                  for dst in rng.sample(range(size), rng.randrange(size))}
+                 for _src in range(size)]
+        egress, ingress, messages = comm._alltoallv_totals(sends)
+        dense = [[row.get(dst, 0.0) for dst in range(size)] for row in sends]
+        for rank in range(size):
+            node = comm.node_of(rank)
+            row = dense[rank]
+            column = [dense[src][rank] for src in range(size)]
+            assert egress.get(rank, 0) == sum(
+                volume for dst, volume in enumerate(row)
+                if volume > 0 and comm.node_of(dst) is not node)
+            assert ingress.get(rank, 0) == sum(
+                volume for src, volume in enumerate(column)
+                if volume > 0 and comm.node_of(src) is not node)
+            assert messages.get(rank, 0) == sum(1 for v in row if v > 0)
+        assert egress and ingress
+
+    @pytest.mark.parametrize("calls, match", [
+        pytest.param((lambda comm: comm.bcast(0, "x", root=0),
+                      lambda comm: comm.reduce(1, 1.0)),
+                     "reduce.*bcast", id="bcast-vs-reduce"),
+        pytest.param((lambda comm: comm.barrier(0),
+                      lambda comm: comm.allgather(1, 1)),
+                     "allgather.*barrier", id="barrier-vs-allgather"),
+        pytest.param((lambda comm: comm.bcast(0, "v0", root=0),
+                      lambda comm: comm.bcast(1, "v1", root=1)),
+                     "root=1.*root=0", id="each-rank-its-own-root"),
+        pytest.param((lambda comm: comm.gather(0, 0, root=7),
+                      lambda comm: comm.gather(1, 1, root=7)),
+                     "root 7", id="gather-root-out-of-range"),
+        pytest.param((lambda comm: comm.bcast(0, "x", root=-1),
+                      lambda comm: comm.bcast(1, root=-1)),
+                     "root -1", id="bcast-negative-root"),
+        pytest.param((lambda comm: comm.barrier(0),
+                      lambda comm: comm.barrier(5)),
+                     "rank 5", id="barrier-rank-out-of-range"),
+        pytest.param((lambda comm: comm.barrier(0),
+                      lambda comm: comm.barrier(-1)),
+                     "rank -1", id="negative-rank"),
+    ])
+    def test_malformed_collective_raises(self, calls, match):
+        """Ranks that disagree on a collective or its root, or name a rank
+        outside the communicator, get an MPIError (2 ranks)."""
+        machine, comm = make_comm(nodes=1, cores=2)
+        for call in calls:
+            machine.sim.process(call(comm))
+        with pytest.raises(MPIError, match=match):
+            machine.sim.run()
 
 
 class TestP2P:

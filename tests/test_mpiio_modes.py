@@ -44,6 +44,19 @@ def run_ranks(machine, comm, rank_fn):
     return results
 
 
+def record_writes(fs):
+    """Log every ``(handle, offset, nbytes)`` that reaches ``fs.write``."""
+    log = []
+    write = fs.write
+
+    def recording_write(handle, offset, nbytes, **kwargs):
+        log.append((handle, offset, nbytes))
+        return (yield from write(handle, offset, nbytes, **kwargs))
+
+    fs.write = recording_write
+    return log
+
+
 class TestTwoPhaseRounds:
     def test_cb_buffer_validation(self):
         machine, fs, comm = make_platform()
@@ -159,3 +172,98 @@ class TestDirectMode:
         assert durations[64 * KiB] > durations[16 * MiB]
 
 
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "aggregators", [[], [99], [4, 0], [0, 0], [-1, 4]],
+        ids=["empty", "out-of-range", "unordered", "repeated", "negative"])
+    def test_bad_aggregator_list_rejected(self, aggregators):
+        """Empty, out-of-range, unordered or repeated aggregator lists."""
+        machine, fs, comm = make_platform()
+
+        def prog(rank):
+            cfile = yield from collective_open(comm, rank, fs, "f",
+                                               aggregators=aggregators)
+            yield from collective_write(cfile, rank, 1 * MiB)
+
+        with pytest.raises(MPIError, match="aggregators"):
+            run_ranks(machine, comm, prog)
+
+    @pytest.mark.parametrize("direct", [False, True],
+                             ids=["two-phase", "direct"])
+    @pytest.mark.parametrize("bad", [-1 * MiB, float("nan"), float("inf")])
+    def test_bad_write_size_rejected(self, direct, bad):
+        """A negative or non-finite size from one rank fails that rank
+        before the allgather: nothing reaches the file system."""
+        machine, fs, comm = make_platform(fs_cls=PVFS if direct else Lustre)
+        write = collective_write_direct if direct else collective_write
+
+        def prog(rank):
+            cfile = yield from collective_open(comm, rank, fs, "f",
+                                               all_ranks_write=direct)
+            yield from write(cfile, rank, bad if rank == 3 else 1 * MiB)
+
+        with pytest.raises(MPIError, match="finite"):
+            run_ranks(machine, comm, prog)
+        assert fs.bytes_written == 0
+
+
+class TestLayout:
+    """Every byte reaches the file system where the rank-order rule puts
+    it: 15 ranks (3 nodes x 5 cores) writing (rank + 1) MiB each, in two
+    phases."""
+
+    SIZES = [(rank + 1) * MiB for rank in range(15)]
+    TOTAL = sum(SIZES)  # bytes per phase
+    PHASES = 2
+
+    def rank_offset(self, phase, rank):
+        """Rank-order rule: a rank's data follows every lower rank's."""
+        return phase * self.TOTAL + sum(self.SIZES[:rank])
+
+    def run_phases(self, fs_cls, write, **open_kwargs):
+        machine, fs, comm = make_platform(fs_cls=fs_cls, nodes=3, cores=5)
+        log = record_writes(fs)
+
+        def prog(rank):
+            cfile = yield from collective_open(comm, rank, fs, "f",
+                                               **open_kwargs)
+            for _phase in range(self.PHASES):
+                yield from write(cfile, rank, self.SIZES[rank])
+            yield from collective_close(cfile, rank)
+            return cfile
+
+        cfile = run_ranks(machine, comm, prog)[0]
+        owner = {id(handle): rank for rank, handle in cfile.handles.items()}
+        assert fs.lookup("f").size == self.PHASES * self.TOTAL
+        return sorted((owner[id(handle)], offset, nbytes)
+                      for handle, offset, nbytes in log)
+
+    def test_two_phase_regions_follow_rank_order(self):
+        cb_buffer = 3 * MiB
+
+        def write(cfile, rank, nbytes):
+            return collective_write(cfile, rank, nbytes, cb_buffer=cb_buffer)
+
+        got = self.run_phases(Lustre, write, aggregators=[0, 7])
+        # Blocks r * 2 // 15: ranks 0-7 ship to rank 0 (rank 7, itself an
+        # aggregator, among them), ranks 8-14 to rank 7.
+        blocks = {0: range(0, 8), 7: range(8, 15)}
+        expected = []
+        for phase in range(self.PHASES):
+            for aggregator, ranks in blocks.items():
+                start = self.rank_offset(phase, ranks[0])
+                region = sum(self.SIZES[r] for r in ranks)
+                expected += [(aggregator, start + pos,
+                              min(cb_buffer, region - pos))
+                             for pos in range(0, region, cb_buffer)]
+        assert got == sorted(expected)
+
+    def test_direct_offsets_follow_rank_order(self):
+        got = self.run_phases(PVFS, collective_write_direct,
+                              all_ranks_write=True)
+        expected = [(rank, self.rank_offset(phase, rank), self.SIZES[rank])
+                    for phase in range(self.PHASES)
+                    for rank in range(len(self.SIZES))]
+        assert got == sorted(expected)
