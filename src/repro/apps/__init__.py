@@ -1,5 +1,5 @@
-"""Applications: the CM1 mini-kernel, its DES workload model and a
-synthetic I/O benchmark.
+"""Applications: the CM1 mini-kernel, its DES workload model and its
+post-processing.
 
 - :mod:`repro.apps.cm1` — a real (numpy) non-hydrostatic atmospheric
   kernel producing CM1-like 3-D fields; used by the examples and the
@@ -8,13 +8,11 @@ synthetic I/O benchmark.
   behaviour: domain decomposition, per-core output volume, compute time
   per iteration (the paper's weak-scaling configurations for Kraken,
   Grid'5000 and BluePrint);
-- :mod:`repro.apps.iobench` — a minimal fixed-size writer for
-  micro-benchmarks and ablations.
+- :mod:`repro.apps.postproc` — storm diagnostics over written outputs.
 """
 
 from repro.apps.cm1 import MiniCM1
 from repro.apps.workload import CM1Workload
-from repro.apps.iobench import IOBenchWorkload
 from repro.apps.postproc import (
     OutputCatalog,
     StormDiagnostics,
@@ -23,7 +21,6 @@ from repro.apps.postproc import (
 
 __all__ = [
     "CM1Workload",
-    "IOBenchWorkload",
     "MiniCM1",
     "OutputCatalog",
     "StormDiagnostics",

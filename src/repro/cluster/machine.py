@@ -1,9 +1,10 @@
 """Machine builder: nodes + interconnect + instrumentation in one place.
 
 A :class:`Machine` is described by a :class:`MachineSpec` (counts and
-bandwidths) and owns the simulator, the flow network, the random streams
-and the monitor. File systems (:mod:`repro.storage`) are attached
-afterwards and register their own capacities on ``machine.flows``.
+bandwidths) and owns the simulator, the flow network and the random
+streams; a tracer attaches on request (:meth:`Machine.attach_tracer`).
+File systems (:mod:`repro.storage`) are attached afterwards and register
+their own capacities on ``machine.flows``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import List, Optional
 
 from repro.des.bandwidth import Flow, FlowNetwork, LinkCapacity
 from repro.des.core import Simulator
-from repro.des.monitor import Monitor
 from repro.observe.tracer import Tracer
 from repro.des.rng import RandomStreams
 from repro.cluster.node import Core, SMPNode
@@ -66,7 +66,6 @@ class Machine:
         self.flows = FlowNetwork(self.sim, completion_slack=completion_slack,
                                  fairness_slack=fairness_slack)
         self.streams = RandomStreams(seed)
-        self.monitor = Monitor()
         self.noise = noise if noise is not None else OSNoise()
         self.noise.bind(self.streams)
 

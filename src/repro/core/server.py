@@ -228,11 +228,6 @@ class DedicatedCoreServer:
                 busy_start, sim.now, iteration=iteration, path=path,
                 nbytes=int(out), raw_bytes=int(raw),
                 entries=len(entries))
-        monitor = self.machine.monitor
-        monitor.series(f"damaris.node{self.node.index}.write_time").record(
-            self.machine.sim.now, busy)
-        monitor.counter("damaris.bytes_raw").add(raw)
-        monitor.counter("damaris.bytes_out").add(out)
 
     def drop_buffered(self):
         """Crash semantics: discard buffered-but-unpersisted iterations.

@@ -14,8 +14,11 @@ needs of the cluster/file-system models in this package:
   used for every NIC, link and storage target in the cluster models;
 - :mod:`~repro.des.kernels` — the water-filling kernels: compiled C by
   default when a C compiler is found, numpy otherwise (``REPRO_KERNEL``);
-- :mod:`~repro.des.rng` — named, deterministic random streams;
-- :mod:`~repro.des.monitor` — counters and time series for instrumentation.
+- :mod:`~repro.des.rng` — named, deterministic random streams.
+
+Run counters live where they are counted (``FlowNetwork.solver_stats``,
+the file system's and servers' own tallies); timelines are recorded only
+on request, through :mod:`repro.observe`.
 """
 
 from repro.des.core import Event, Simulator, Timeout
@@ -26,12 +29,10 @@ from repro.des.resources import PriorityResource, Resource, Store
 from repro.des.bandwidth import (Flow, FlowNetwork, LinkCapacity,
                                  SOLVER_COMPONENT, SOLVER_GLOBAL)
 from repro.des.rng import RandomStreams
-from repro.des.monitor import Counter, Monitor, TimeSeries
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Counter",
     "Event",
     "Flow",
     "FlowNetwork",
@@ -39,7 +40,6 @@ __all__ = [
     "KERNEL_COMPILED",
     "KERNEL_PYTHON",
     "LinkCapacity",
-    "Monitor",
     "PriorityResource",
     "Process",
     "RandomStreams",
@@ -48,7 +48,6 @@ __all__ = [
     "SOLVER_GLOBAL",
     "Simulator",
     "Store",
-    "TimeSeries",
     "kernel_status",
     "resolve_kernel",
 ]

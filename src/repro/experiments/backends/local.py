@@ -9,12 +9,7 @@ back in true completion order fixes both; the executor's index-keyed
 reassembly keeps the returned list bit-identical.
 
 The pool is created lazily and kept until :meth:`ProcessBackend.close`,
-so one backend instance can serve many sweeps (the service holds one
-for its whole lifetime). :meth:`ProcessBackend.submit_call` exposes the
-raw single-call path the :mod:`repro.service` job server schedules
-through, and :meth:`ProcessBackend.replace_broken` is the recovery hook
-for a SIGKILLed worker (``BrokenProcessPool``): swap in a fresh pool so
-the owner keeps serving.
+so one backend instance can serve many sweeps.
 """
 
 from __future__ import annotations
@@ -99,28 +94,6 @@ class ProcessBackend(Backend):
         if self._pool is None:
             self._pool = ProcessPoolExecutor(max_workers=self.workers)
         return self._pool
-
-    def submit_call(self, fn, *args):
-        """Submit one raw call; returns its ``concurrent.futures.Future``.
-
-        The :mod:`repro.service` job server drives its per-spec
-        computations through this instead of :meth:`run_tasks` (it
-        interleaves specs from many jobs, so batching happens at its
-        queue, not here).
-        """
-        self.counters_.dispatched += 1
-        return self.pool.submit(fn, *args)
-
-    def replace_broken(self) -> None:
-        """Swap in a fresh pool after ``BrokenProcessPool``.
-
-        The broken pool is shut down without waiting (its workers are
-        already dead or dying); counters record the crash.
-        """
-        self.counters_.crashed += 1
-        broken, self._pool = self._pool, None
-        if broken is not None:
-            broken.shutdown(wait=False)
 
     def run_tasks(self, tasks: Sequence[Tuple[int, Any]]
                   ) -> Iterator[TaskOutcome]:

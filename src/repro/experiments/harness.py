@@ -18,7 +18,7 @@ The harness reproduces the paper's measurement protocol:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -83,6 +83,9 @@ class ExperimentResult:
     #: (plain dicts — see :meth:`repro.faults.FaultRecord.to_dict` — so
     #: results stay picklable/cacheable without importing repro.faults).
     fault_records: List[Dict] = field(default_factory=list)
+    #: The flow network's cumulative solver counters at the end of the
+    #: run (:attr:`repro.des.bandwidth.FlowNetwork.solver_stats`).
+    solver_stats: Dict[str, Any] = field(default_factory=dict)
 
     # -- write phase (Fig. 2 / Fig. 3) ---------------------------------- #
     @property
@@ -140,12 +143,6 @@ class ExperimentResult:
         times = [r["recovery_time"] for r in self.fault_records
                  if r["recovery_time"] is not None]
         return float(np.mean(times)) if times else 0.0
-
-    @property
-    def max_recovery_time(self) -> float:
-        times = [r["recovery_time"] for r in self.fault_records
-                 if r["recovery_time"] is not None]
-        return float(np.max(times)) if times else 0.0
 
     # -- wire format (repro.service) ------------------------------------- #
     def summary(self) -> Dict:
@@ -292,6 +289,7 @@ def run_experiment(machine: Machine, fs: ParallelFileSystem,
         drain_time=drain_time,
         bytes_per_phase=float(workload.total_bytes(nranks, dilation)),
         files_created=fs.files_created,
+        solver_stats=machine.flows.solver_stats,
     )
     if injector is not None:
         result.fault_records = [record.to_dict()

@@ -202,16 +202,16 @@ def strategy_from_spec(spec: Dict[str, Any], preset: PlatformPreset):
     raise SpecError(f"unknown strategy kind: {kind!r}")
 
 
-def run_spec(spec: Dict[str, Any],
-             tracer: Optional[Tracer] = None) -> ExperimentResult:
+def run_spec(spec: Dict[str, Any]) -> ExperimentResult:
     """Execute one sweep spec (module-level: picklable for worker pools).
 
     With ``REPRO_TRACE=<dir>`` in the environment (the ``--trace`` flag
-    of the figure CLIs), the run records a full trace and dumps it to
-    ``<dir>/<label>.jsonl`` — one file per sweep configuration, worker
-    processes included, since each spec carries its own label. An
-    explicit ``tracer`` records into the caller's object instead and
-    writes no file (the service uses this to harvest solver counters).
+    of the figure CLIs, or a service started with it set), the run
+    records a full trace and dumps it to ``<dir>/<label>.jsonl``: one
+    file per spec, worker processes included, named by the spec's
+    ``trace_label``, else ``<preset>-<ncores>-<kind>``. Without it the
+    run records nothing; its solver counters ride on
+    :attr:`ExperimentResult.solver_stats` either way.
     """
     preset = PRESETS[spec["preset"]]()
     workload = None
@@ -227,13 +227,9 @@ def run_spec(spec: Dict[str, Any],
         # free (the store keys by the full spec).
         from repro.faults import FaultSchedule
         run_kwargs["faults"] = FaultSchedule.from_dict(spec["faults"])
-    trace_dir = ""
-    if tracer is None:
-        trace_dir = config.get("REPRO_TRACE")
-        if trace_dir:
-            tracer = Tracer()
-    if tracer is not None:
-        run_kwargs["tracer"] = tracer
+    trace_dir = config.get("REPRO_TRACE")
+    if trace_dir:
+        run_kwargs["tracer"] = Tracer()
 
     machine, fs, default_workload = preset.build(
         spec["ncores"], seed=spec.get("seed", 42))
@@ -250,6 +246,6 @@ def run_spec(spec: Dict[str, Any],
             f"{spec['preset']}-{spec['ncores']}"
             f"-{spec['strategy']['kind']}")
         os.makedirs(trace_dir, exist_ok=True)
-        dump_jsonl(tracer, os.path.join(
+        dump_jsonl(run_kwargs["tracer"], os.path.join(
             trace_dir, label.replace("/", "-") + ".jsonl"))
     return result

@@ -1,14 +1,14 @@
-"""repro.observe — structured tracing + metrics shared by the DES and
-the threaded runtime.
+"""repro.observe — structured tracing shared by the DES and the threaded
+runtime; an opt-in path (``REPRO_TRACE`` / ``--trace``), while run
+counters come from the engine itself
+(:attr:`repro.des.bandwidth.FlowNetwork.solver_stats`).
 
 - :mod:`repro.observe.tracer` — typed spans/events against a sim-time or
   wall-time clock, with a zero-overhead disabled mode;
 - :mod:`repro.observe.export` — JSONL archive format (round-trips) and
   Chrome ``trace_event`` export for ``chrome://tracing``;
-- :mod:`repro.observe.aggregate` — per-actor/per-target tables and the
-  persist-vs-write_phase overlap check;
-- :mod:`repro.observe.metrics` — trace counters reduced to flat totals
-  for metrics exporters (the service's ``/metrics`` endpoint).
+- :mod:`repro.observe.aggregate` — per-actor/per-target/solver/backend
+  tables and the persist-vs-write_phase overlap check.
 """
 
 from repro.observe.tracer import (
@@ -28,7 +28,6 @@ from repro.observe.export import (
     to_chrome_trace,
     to_jsonl,
 )
-from repro.observe.metrics import SOLVER_COUNTERS, trace_counters
 from repro.observe.aggregate import (
     aggregate_spans,
     merge_intervals,
@@ -62,6 +61,4 @@ __all__ = [
     "per_target_table",
     "render_summary",
     "solver_table",
-    "SOLVER_COUNTERS",
-    "trace_counters",
 ]

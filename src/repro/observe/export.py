@@ -59,11 +59,51 @@ def dump_jsonl(tracer: Tracer, path: str) -> None:
         fh.write(to_jsonl(tracer))
 
 
+#: Each record type's time fields (beside its string fields ``cat``,
+#: ``name`` and ``actor``).
+_TIME_FIELDS = {"span": ("start", "end"), "event": ("time",)}
+
+
+def _check_record(record: object, lineno: int) -> Dict[str, object]:
+    """``record``'s attrs once its fields have the JSONL schema's types;
+    :class:`ReproError` naming ``lineno`` otherwise."""
+    def bad(why: str) -> ReproError:
+        return ReproError(f"trace line {lineno}: {why}")
+
+    if not isinstance(record, dict):
+        raise bad(f"a record is a JSON object, got {type(record).__name__}")
+    kind = record.get("type")
+    if kind not in ("span", "event"):
+        raise bad(f"unknown record type {kind!r}")
+    times = _TIME_FIELDS[kind]
+    for field in ("cat", "name", "actor"):
+        if not isinstance(record.get(field), str):
+            raise bad(f"{kind} field {field!r} must be a string, "
+                      f"got {record.get(field)!r}")
+    for field in times:
+        value = record.get(field)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise bad(f"{kind} field {field!r} must be a number, "
+                      f"got {value!r}")
+    attrs = record.get("attrs", {})
+    if not isinstance(attrs, dict):
+        raise bad(f"{kind} 'attrs' must be an object, got {attrs!r}")
+    # Attrs travel as keywords of the recording call: none may reuse
+    # one of its parameter names.
+    clash = sorted({"self", "category", "name", "actor", *times}
+                   .intersection(attrs))
+    if clash:
+        raise bad(f"{kind} attrs may not be named {clash}")
+    return attrs
+
+
 def load_jsonl(source: Union[str, TextIO]) -> Tracer:
     """Parse JSONL text (or a file object) back into a Tracer.
 
     The returned tracer's clock is frozen (it only *holds* records); its
-    ``clock_name`` reflects the originating clock.
+    ``clock_name`` reflects the originating clock. A line that is not
+    JSON, or not a record of the schema, raises :class:`ReproError`
+    naming its line number.
     """
     if hasattr(source, "read"):
         text = source.read()
@@ -79,25 +119,23 @@ def load_jsonl(source: Union[str, TextIO]) -> Tracer:
         except json.JSONDecodeError as exc:
             raise ReproError(f"trace line {lineno} is not JSON: {exc}") \
                 from exc
-        kind = record.get("type")
-        if kind == "meta":
+        if isinstance(record, dict) and record.get("type") == "meta":
             version = record.get("version")
             if version != SCHEMA_VERSION:
                 raise ReproError(
                     f"trace schema version {version!r} unsupported "
                     f"(expected {SCHEMA_VERSION})")
             tracer.clock_name = record.get("clock", "wall")
-        elif kind == "span":
+            continue
+        attrs = _check_record(record, lineno)
+        if record["type"] == "span":
             tracer.record_span(record["cat"], record["name"],
                                record["actor"], record["start"],
-                               record["end"], **record.get("attrs", {}))
-        elif kind == "event":
+                               record["end"], **attrs)
+        else:
             tracer.record_event(record["cat"], record["name"],
                                 record["actor"], time=record["time"],
-                                **record.get("attrs", {}))
-        else:
-            raise ReproError(
-                f"trace line {lineno}: unknown record type {kind!r}")
+                                **attrs)
     return tracer
 
 

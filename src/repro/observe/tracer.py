@@ -2,11 +2,12 @@
 
 The paper's claims are *temporal* — jitter hidden from compute cores,
 persistence overlapped with the next compute block — so end-of-run
-aggregates (:mod:`repro.des.monitor`) cannot validate them. A
-:class:`Tracer` records *when* things happened: typed spans (an interval
-with a category, an actor and attributes) and instant events, against
-either the simulated clock of a DES run or the wall clock of the real
-threaded runtime, behind the same interface.
+counters (``FlowNetwork.solver_stats``, the harness's per-phase
+measurements) cannot validate them. A :class:`Tracer` records *when*
+things happened: typed spans (an interval with a category, an actor and
+attributes) and instant events, against either the simulated clock of a
+DES run or the wall clock of the real threaded runtime, behind the same
+interface.
 
 Design constraints:
 

@@ -50,10 +50,6 @@ class RuntimeBuffer:
         self.bytes_reserved_total = 0
 
     @property
-    def allocator_name(self) -> str:
-        return self._allocator.name
-
-    @property
     def used_bytes(self) -> int:
         with self._lock:
             return self._allocator.used_bytes

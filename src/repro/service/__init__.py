@@ -7,6 +7,8 @@ several clients share one compute pool and one result cache:
 - :mod:`repro.service.server` — the asyncio server: job queue draining
   into the process pool, cache-aware admission with cross-tenant
   dedup, drain/shutdown, the HTTP routes;
+- :mod:`repro.service.worker` — the pool-side runner: one spec to its
+  summary plus the run's own solver and fault counters;
 - :mod:`repro.service.client` — the blocking client (used by the
   ``servectl`` CLI and the test fixture alike);
 - :mod:`repro.service.jobs` / :mod:`repro.service.queue` — the job

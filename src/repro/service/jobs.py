@@ -60,9 +60,11 @@ def validate_job_payload(payload: Any) -> Dict[str, Any]:
             or not 0 <= priority <= 9:
         raise InvalidSpecError(
             f"'priority' must be an integer in [0, 9], got {priority!r}")
-    label = payload.get("label", "")
-    if not isinstance(label, str):
-        raise InvalidSpecError(f"'label' must be a string, got {label!r}")
+    for key in ("label", "tenant"):
+        value = payload.get(key, "")
+        if not isinstance(value, str):
+            raise InvalidSpecError(
+                f"{key!r} must be a string, got {value!r}")
     return payload
 
 

@@ -7,9 +7,8 @@ so clients see predictable service instead of interference. One asyncio
 process owns:
 
 - a **job queue** (:class:`~repro.service.queue.JobQueue`) drained by a
-  bounded set of runner tasks into the sweep executor's
-  :class:`~repro.experiments.backends.ProcessBackend` (the same
-  process-pool backend ``run_sweep`` schedules over);
+  bounded set of runner tasks into one ``ProcessPoolExecutor``, created
+  on first use and replaced when a worker dies;
 - **cache-aware admission**: each spec's content address is computed in
   the parent (same :mod:`repro.cache` keys ``run_sweep`` uses), hits are
   served without touching the pool, and concurrent misses on one key —
@@ -18,8 +17,8 @@ process owns:
 - **quotas and rate limits** (:class:`~repro.service.quotas.QuotaManager`)
   applied at submission with typed rejections;
 - a **Prometheus** ``/metrics`` page (queue depth, active jobs, cache
-  hit/miss counters, solver/fault counters harvested from
-  worker traces, per-tenant usage).
+  hit/miss counters, solver/fault counters read from each run's flow
+  network and fault records, per-tenant usage).
 
 HTTP endpoints (JSON; one request per connection):
 
@@ -41,10 +40,9 @@ HTTP endpoints (JSON; one request per connection):
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional
-
-from repro.experiments.backends import ProcessBackend
 
 from repro.service import http
 from repro.service.errors import (
@@ -99,7 +97,7 @@ class SweepService:
 
         self.host = host
         self.port = port
-        self._workers = workers
+        self._workers = workers if workers is None else max(1, int(workers))
         self._job_slots = max(1, int(job_slots))
         self._cache = _resolve_cache(cache)
         self._clock = clock
@@ -109,7 +107,7 @@ class SweepService:
 
         self.queue = JobQueue()
         self.jobs: Dict[str, Job] = {}
-        self._backend: Optional[ProcessBackend] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._runners: List[asyncio.Task] = []
         self._job_tasks: Dict[str, asyncio.Task] = {}
@@ -142,7 +140,7 @@ class SweepService:
             "Store hits over hits plus misses, cumulative.")
         self._m_sim_events = self.metrics.counter(
             "repro_sim_events_total",
-            "Solver/fault counters harvested from run traces.",
+            "Solver/fault counters of computed and cached runs.",
             ("counter",))
         self._m_worker_crashes = self.metrics.counter(
             "repro_worker_crashes_total",
@@ -184,20 +182,9 @@ class SweepService:
             return self._clock()
         return asyncio.get_running_loop().time()
 
-    @property
-    def _pool(self):
-        """The backend's live pool (``None`` before start / after stop).
-
-        Test fixtures reach through this to find worker pids; it never
-        *creates* a pool, unlike ``self._backend.pool``.
-        """
-        backend = self._backend
-        return None if backend is None else backend._pool
-
     async def start(self) -> None:
         """Bind the listener and start the queue runners."""
         self._events_cond = asyncio.Condition()
-        self._backend = ProcessBackend(workers=self._workers)
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port)
         self.port = self._server.sockets[0].getsockname()[1]
@@ -239,9 +226,9 @@ class SweepService:
         if self._conn_tasks:
             await asyncio.gather(*list(self._conn_tasks),
                                  return_exceptions=True)
-        if self._backend is not None:
-            self._backend.close()
-            self._backend = None
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
         if self._cache is not None:
             self._cache.flush()
 
@@ -331,19 +318,24 @@ class SweepService:
 
     async def _compute(self, spec: Dict[str, Any],
                        key: Optional[str]) -> Dict[str, Any]:
-        """Run one spec in the backend; only this task writes the cache."""
-        assert self._backend is not None
+        """Run one spec in the pool; only this task writes the cache."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self._workers)
+        pool = self._pool
         self._m_backend_tasks.inc(event="dispatched")
         try:
             payload = await asyncio.wrap_future(
-                self._backend.submit_call(self._runner, spec))
-        except concurrent.futures.process.BrokenProcessPool:
-            # A worker died (OOM-kill, SIGKILL, crash). Replace the
-            # broken pool so the *server* keeps serving, and surface a
-            # typed failure on the affected job(s).
+                pool.submit(self._runner, spec))
+        except BrokenProcessPool:
+            # A worker died (OOM-kill, SIGKILL, crash). Drop the broken
+            # pool (unless another spec already did) so the next spec
+            # gets a fresh one and the *server* keeps serving, and
+            # surface a typed failure on the affected job(s).
             self._m_worker_crashes.inc()
             self._m_backend_tasks.inc(event="crashed")
-            self._backend.replace_broken()
+            if self._pool is pool:
+                self._pool = None
+                pool.shutdown(wait=False)
             raise WorkerCrashedError(
                 "a compute-pool worker died while running this spec; "
                 "the pool has been replaced") from None

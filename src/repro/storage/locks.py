@@ -173,6 +173,3 @@ class ExtentLockManager:
                         file_id=file_id, target=target,
                         nbytes=int(previous[1]), owner=owner,
                         previous=previous[0])
-
-    def contended_stripes(self) -> int:
-        return len(self._stripe_slots)

@@ -41,12 +41,6 @@ class StripeLayout:
         stripe = offset // self.stripe_size
         return self.targets[stripe % self.stripe_count]
 
-    def stripe_of(self, offset: int) -> int:
-        """Global stripe number containing ``offset``."""
-        if offset < 0:
-            raise StorageError(f"negative offset: {offset}")
-        return offset // self.stripe_size
-
     def split(self, offset: int, nbytes: int) -> Dict[int, int]:
         """Per-target byte counts for a request of ``nbytes`` at ``offset``.
 
@@ -99,15 +93,6 @@ class StripeLayout:
             "stripes": len(self.stripes_touched(offset, nbytes)),
             "targets": len(self.split(offset, nbytes)),
         }
-
-    def uses_target(self, target: int) -> bool:
-        """Whether this layout ever places data on ``target``.
-
-        Fault injection uses this for affected-file accounting: an OST
-        brownout or loss only degrades files whose layout includes one
-        of the faulted targets.
-        """
-        return target in self.targets
 
     def stripes_touched(self, offset: int, nbytes: int) -> range:
         """Global stripe numbers covered by the request (for lock managers)."""

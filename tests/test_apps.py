@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.apps import CM1Workload, IOBenchWorkload, MiniCM1
+from repro.apps import CM1Workload, MiniCM1
 from repro.errors import ReproError
-from repro.units import MiB
 
 
 class TestMiniCM1:
@@ -122,14 +121,3 @@ class TestCM1Workload:
         assert large.bytes_per_core() == 3 * small.bytes_per_core()
         with pytest.raises(ReproError):
             CM1Workload.blueprint(nvariables=0)
-
-
-class TestIOBenchWorkload:
-    def test_exact_volume(self):
-        workload = IOBenchWorkload(bytes_per_rank=8 * MiB)
-        assert workload.bytes_per_core() == 8 * MiB
-        assert list(workload.variable_bytes()) == ["payload"]
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            IOBenchWorkload(bytes_per_rank=2)

@@ -1,9 +1,8 @@
-"""Unit tests for the RNG stream factory and the Monitor instrumentation."""
+"""Unit tests for the RNG stream factory and the unit formatters."""
 
 import numpy as np
-import pytest
 
-from repro.des import Counter, Monitor, RandomStreams, TimeSeries
+from repro.des import RandomStreams
 
 
 class TestRandomStreams:
@@ -42,67 +41,6 @@ class TestRandomStreams:
         a = RandomStreams(1).stream("n").random(4)
         b = RandomStreams(2).stream("n").random(4)
         assert not np.array_equal(a, b)
-
-
-class TestCounter:
-    def test_add_accumulates(self):
-        counter = Counter("bytes")
-        counter.add(10.0)
-        counter.add(5.0)
-        assert counter.value == 15.0
-        assert counter.events == 2
-
-    def test_default_increment(self):
-        counter = Counter("ops")
-        counter.add()
-        assert counter.value == 1.0
-
-
-class TestTimeSeries:
-    def test_statistics(self):
-        series = TimeSeries("t")
-        for i, value in enumerate([1.0, 3.0, 2.0]):
-            series.record(float(i), value)
-        assert series.mean() == pytest.approx(2.0)
-        assert series.max() == 3.0
-        assert series.min() == 1.0
-        assert series.total() == 6.0
-        assert len(series) == 3
-
-    def test_empty_statistics_are_zero(self):
-        series = TimeSeries("t")
-        assert series.mean() == 0.0
-        assert series.max() == 0.0
-        assert series.std() == 0.0
-
-    def test_arrays(self):
-        series = TimeSeries("t")
-        series.record(0.5, 7.0)
-        assert series.times.tolist() == [0.5]
-        assert series.values.tolist() == [7.0]
-
-
-class TestMonitor:
-    def test_counter_registry(self):
-        monitor = Monitor()
-        monitor.counter("x").add(1)
-        assert monitor.counter("x").value == 1.0
-        assert "x" in monitor.counters()
-
-    def test_series_registry(self):
-        monitor = Monitor()
-        monitor.series("y").record(0.0, 1.0)
-        assert monitor.has_series("y")
-        assert not monitor.has_series("z")
-
-    def test_series_matching_prefix(self):
-        monitor = Monitor()
-        monitor.series("node.0.write").record(0, 1)
-        monitor.series("node.1.write").record(0, 2)
-        monitor.series("other").record(0, 3)
-        matches = monitor.series_matching("node.")
-        assert [name for name, _ in matches] == ["node.0.write",
-                                                 "node.1.write"]
 
 
 class TestUnits:

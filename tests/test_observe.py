@@ -11,6 +11,8 @@ import json
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ReproError
 from repro.experiments.harness import run_experiment
@@ -35,6 +37,29 @@ from repro.observe import (
 )
 from repro.strategies import CollectiveIOStrategy, DamarisStrategy
 from repro.tools import tracereport
+
+
+#: Any JSON value, and JSON objects shaped like trace records with
+#: fields of any JSON type (attrs keys include the recording calls'
+#: parameter names).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8)
+_RECORD = st.fixed_dictionaries(
+    {"type": st.sampled_from(["span", "event", "meta"]) | _JSON},
+    optional={
+        "cat": st.sampled_from(["persist", "solver", "nope"]) | _JSON,
+        **{key: st.text(max_size=4) | _JSON for key in ("name", "actor")},
+        **{key: st.floats() | _JSON for key in ("start", "end", "time")},
+        "attrs": st.dictionaries(
+            st.sampled_from(["self", "category", "name", "start", "time",
+                             "nbytes"]), _JSON, max_size=3) | _JSON,
+        "version": st.just(1) | _JSON,
+        "clock": _JSON,
+    })
 
 
 def make_tracer():
@@ -126,6 +151,15 @@ class TestJsonlExport:
         dump_jsonl(make_tracer(), str(path))
         with open(path) as fh:
             assert len(load_jsonl(fh)) == len(make_tracer())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_JSON, _RECORD))
+    def test_any_json_line_loads_or_raises_repro_error(self, value):
+        text = to_jsonl(Tracer()) + json.dumps(value) + "\n"
+        try:
+            load_jsonl(text)
+        except ReproError:
+            pass
 
 
 class TestChromeExport:
@@ -280,3 +314,13 @@ class TestTracereportCli:
         bad.write_text("garbage\n")
         assert tracereport.main([str(bad)]) == 1
         capsys.readouterr()
+        # Valid JSON that is not a record of the schema.
+        span = {"type": "span", "cat": "persist", "name": "iter0",
+                "actor": "node0/server", "start": 0.0, "end": 1.0}
+        no_cat = {key: value for key, value in span.items() if key != "cat"}
+        for i, record in enumerate((5, no_cat, {**span, "attrs": [1]},
+                                    {**span, "attrs": {"start": 3}})):
+            bad = tmp_path / f"malformed{i}.jsonl"
+            bad.write_text(json.dumps(record) + "\n")
+            assert tracereport.main([str(bad)]) == 1
+            assert "trace line 1" in capsys.readouterr().err

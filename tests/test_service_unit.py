@@ -294,6 +294,12 @@ def test_validate_payload_rejects_junk():
     for spec in junk:
         with pytest.raises(InvalidSpecError):
             validate_job_payload(json.loads(json.dumps({"specs": [spec]})))
+    # A tenant names a quota and a token bucket: only a string does
+    # (an unhashable one cannot key them, a number would split "5").
+    for tenant in (["x"], {"a": 1}, 5, 1.5, True):
+        with pytest.raises(InvalidSpecError):
+            validate_job_payload({"specs": [make_spec()], "tenant": tenant})
+    validate_job_payload({"specs": [make_spec()], "tenant": ""})
 
 
 def test_validate_payload_pinpoints_bad_spec():
