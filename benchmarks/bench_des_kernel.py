@@ -1,6 +1,6 @@
 """DES kernel microbenchmarks with a machine-readable baseline.
 
-Five scenarios exercise the simulator's hot paths:
+Seven scenarios exercise the simulator's hot paths:
 
 - ``flow_storm``: a 4096-flow barrier-synchronised write storm (12
   writers per NIC, 336 storage targets with slightly staggered
@@ -27,7 +27,11 @@ Five scenarios exercise the simulator's hot paths:
   scale, where per-rank passes over all ranks would cost O(P²);
 - ``fig2_sweep``: the full Fig. 2 driver in ``REPRO_FAST`` mode —
   the end-to-end pipeline a paper figure actually pays for; its
-  ``rows_digest`` pins every figure row.
+  ``rows_digest`` pins every figure row;
+- ``fig7_sweep``: the same for Fig. 7, whose cost is event
+  dispatch on the Damaris path (per-variable client writes,
+  dedicated-core persists, stripe-segment chains) rather than the
+  bandwidth solve.
 
 Run directly (not via pytest) to (re)produce the JSON baseline::
 
@@ -301,23 +305,38 @@ def bench_collective_phase(ncores: int = 4608):
     }
 
 
-def bench_fig2_sweep():
-    """The Fig. 2 driver end-to-end in fast mode (trimmed scales)."""
+def _bench_figure(function_name: str):
+    """One figure regenerated in fast mode: wall time, and a digest
+    that pins every row it returns."""
     import hashlib
 
     os.environ["REPRO_FAST"] = "1"
     from repro.experiments import figures
 
     t0 = time.perf_counter()
-    report = figures.fig2_write_phase_kraken()
+    report = getattr(figures, function_name)()
     elapsed = time.perf_counter() - t0
     rows = json.dumps(report.rows, sort_keys=True).encode()
     return {
         "wall_s": round(elapsed, 3),
         "rows": len(report.rows),
         "rows_digest": hashlib.sha256(rows).hexdigest()[:16],
-        "scales": list(figures.kraken_scales()),
     }
+
+
+def bench_fig2_sweep():
+    """Fig. 2 regenerated end-to-end in fast mode (trimmed scales)."""
+    from repro.experiments import figures
+
+    result = _bench_figure("fig2_write_phase_kraken")
+    result["scales"] = list(figures.kraken_scales())
+    return result
+
+
+def bench_fig7_sweep():
+    """Fig. 7 regenerated end-to-end in fast mode: the Damaris path
+    (client writes, dedicated-core persists, stripe segments)."""
+    return _bench_figure("fig7_spare_strategies")
 
 
 def _fmt_value(value) -> str:
@@ -422,6 +441,7 @@ def main(argv=None) -> int:
             "heap_churn": bench_heap_churn(),
             "collective_phase": bench_collective_phase(),
             "fig2_sweep": bench_fig2_sweep(),
+            "fig7_sweep": bench_fig7_sweep(),
         }
 
     for name, result in results.items():

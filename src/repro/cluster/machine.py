@@ -10,7 +10,7 @@ their own capacities on ``machine.flows``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.des.bandwidth import Flow, FlowNetwork, LinkCapacity
@@ -20,7 +20,7 @@ from repro.des.rng import RandomStreams
 from repro.cluster.node import Core, SMPNode
 from repro.cluster.noise import NoiseModel, OSNoise
 from repro.errors import SimulationError
-from repro.units import GiB, MiB
+from repro.units import GiB
 
 __all__ = ["MachineSpec", "Machine"]
 

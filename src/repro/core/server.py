@@ -206,11 +206,10 @@ class DedicatedCoreServer:
         path = (f"{self.options.output_dir}/node{self.node.index}"
                 f"/core{self.core.index}/iter{iteration}.h5")
         sim = self.machine.sim
-        handle = yield sim.process(self.fs.create(
-            self.node, path, stripe_count=self.options.stripe_count))
-        yield sim.process(self.fs.write(handle, 0, int(file_bytes),
-                                        label="damaris"))
-        yield sim.process(self.fs.close(handle))
+        handle = yield from self.fs.create(
+            self.node, path, stripe_count=self.options.stripe_count)
+        yield from self.fs.write(handle, 0, int(file_bytes), label="damaris")
+        yield from self.fs.close(handle)
 
         self.release_iteration(iteration)
         busy = (self.machine.sim.now - busy_start

@@ -2,10 +2,10 @@
 
 The kernel is deliberately small: a binary heap (:mod:`heapq`) of
 ``(time, priority, seq)`` keys mapped to :class:`Event` objects (or bare
-callables from the slim-callback API). Everything else (processes,
-resources, flows) is built on top of events and callbacks. Entries pop
-in that ``(time, priority, seq)`` total order, so same-time events run
-by priority and then in submission order.
+callables: the slim-callback API, and each process's first step).
+Everything else (processes, resources, flows) is built on top of events
+and callbacks. Entries pop in that ``(time, priority, seq)`` total
+order, so same-time events run by priority and then in submission order.
 """
 
 from __future__ import annotations

@@ -5,13 +5,19 @@ A :class:`Process` wraps a generator. Each ``yield`` must produce an
 processed, then resumes with the event's value (or the event's exception is
 thrown into the generator). The process itself is an event that succeeds
 with the generator's return value, so processes can wait on each other.
+
+A process costs a heap entry to start and an event to finish. A child
+its parent only waits on needs neither: ``value = yield from child``
+runs it inside the parent's steps, at the same simulated times. Spawn a
+process for what runs concurrently with its creator (rank programs,
+servers, failover replays).
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List
+from typing import Any, Iterable, List, Optional
 
-from repro.des.core import Event, Simulator
+from repro.des.core import PRIORITY_NORMAL, Event, Simulator
 from repro.errors import ProcessKilled, SimulationError
 
 __all__ = ["Process", "Interrupt", "AnyOf", "AllOf"]
@@ -50,10 +56,9 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Event | None = None
         self._alive = True
-        # Bootstrap: resume the generator at the next simulator step.
-        bootstrap = Event(sim)
-        bootstrap.callbacks.append(self._resume)
-        bootstrap.succeed()
+        # The first step is a bare heap entry at (now, normal priority),
+        # so processes start in creation order.
+        sim._push(sim._now, PRIORITY_NORMAL, self._bootstrap)
 
     @property
     def is_alive(self) -> bool:
@@ -75,7 +80,7 @@ class Process(Event):
             pass
         wakeup = Event(self.sim)
         wakeup.callbacks.append(
-            lambda _evt: self._resume_with_exception(Interrupt(cause)))
+            lambda _evt: self._step(None, Interrupt(cause)))
         wakeup.succeed()
 
     def kill(self) -> None:
@@ -95,34 +100,41 @@ class Process(Event):
             self.defuse()
 
     # -- internal ----------------------------------------------------------
+    def _bootstrap(self) -> None:
+        self._step(None, None)
+
     def _resume(self, event: Event) -> None:
         self._waiting_on = None
-        if event.exception is not None:
-            event.defuse()
-            self._resume_with_exception(event.exception)
+        exc = event._exception
+        if exc is None:
+            self._step(event._value, None)
         else:
-            self._step(lambda: self._generator.send(event._value))
+            event._defused = True
+            self._step(None, exc)
 
-    def _resume_with_exception(self, exc: BaseException) -> None:
+    def _step(self, value: Any, exc: Optional[BaseException]) -> None:
+        """Advance the generator by one ``send(value)`` (or ``throw(exc)``)
+        and wait on the event it yields. A dead process stays dead: one
+        killed before its first step is skipped when its bootstrap pops."""
         if not self._alive:
             return
-        self._step(lambda: self._generator.throw(exc))
-
-    def _step(self, advance) -> None:
         try:
-            target = advance()
+            if exc is None:
+                target = self._generator.send(value)
+            else:
+                target = self._generator.throw(exc)
         except StopIteration as stop:
             self._alive = False
             self.succeed(stop.value)
             return
-        except ProcessKilled as exc:
+        except ProcessKilled as killed:
             self._alive = False
-            self.fail(exc)
+            self.fail(killed)
             self.defuse()
             return
-        except BaseException as exc:
+        except BaseException as error:
             self._alive = False
-            self.fail(exc)
+            self.fail(error)
             return
         if not isinstance(target, Event):
             self._alive = False

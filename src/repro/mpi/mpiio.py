@@ -160,14 +160,13 @@ def collective_open(comm: Communicator, rank: int,
     if rank == 0:
         aggs = default_aggregators(comm) if aggregators is None \
             else _checked_aggregators(aggregators, comm.size)
-        handle0 = yield comm.machine.sim.process(
-            fs.create(comm.node_of(0), path,
-                      stripe_count=stripe_count, stripe_size=stripe_size))
+        handle0 = yield from fs.create(comm.node_of(0), path,
+                                       stripe_count=stripe_count,
+                                       stripe_size=stripe_size)
         shared = CollectiveFile(comm, fs, path, aggs, {0: handle0})
     shared = yield from comm.bcast(rank, shared, root=0, nbytes=512)
     if rank != 0 and (all_ranks_write or rank in shared._aggregator_index):
-        handle = yield comm.machine.sim.process(
-            fs.open(comm.node_of(rank), path))
+        handle = yield from fs.open(comm.node_of(rank), path)
         shared.handles[rank] = handle
     yield from comm.barrier(rank)
     return shared

@@ -9,9 +9,11 @@ overlap claim: Damaris' ``persist`` spans must overlap later
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.observe.tracer import Span, Tracer
+from repro.errors import ReproError
+from repro.observe.tracer import Span, TraceEvent, Tracer
 
 __all__ = [
     "aggregate_spans",
@@ -26,6 +28,19 @@ __all__ = [
 ]
 
 
+def _number(record: Union[Span, TraceEvent], key: str) -> float:
+    """``record.attrs[key]`` (0 when absent), which a table sums or
+    counts: a trace that carries anything but a finite number there is
+    rejected with :class:`~repro.errors.ReproError`."""
+    value = record.attrs.get(key, 0)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ReproError(
+            f"{record.category} record of {record.actor!r}: attribute "
+            f"{key!r} must be a finite number, got {value!r}")
+    return value
+
+
 def aggregate_spans(spans: Iterable[Span],
                     key=lambda span: span.actor,
                     key_column: str = "actor") -> List[Dict[str, object]]:
@@ -37,7 +52,7 @@ def aggregate_spans(spans: Iterable[Span],
     for group_key in sorted(groups, key=str):
         members = groups[group_key]
         durations = [span.duration for span in members]
-        nbytes = sum(int(span.attrs.get("nbytes", 0)) for span in members)
+        nbytes = sum(int(_number(span, "nbytes")) for span in members)
         rows.append({
             key_column: group_key,
             "count": len(members),
@@ -65,6 +80,11 @@ def per_target_table(tracer: Tracer) -> List[Dict[str, object]]:
     """One row per storage target, from ``net_transfer`` span attrs."""
     spans = [span for span in tracer.spans_in("net_transfer")
              if "target" in span.attrs]
+    for span in spans:
+        if not isinstance(span.attrs["target"], str):
+            raise ReproError(
+                f"net_transfer record of {span.actor!r}: attribute "
+                f"'target' must be a string, got {span.attrs['target']!r}")
     return aggregate_spans(spans, key=lambda span: span.attrs["target"],
                            key_column="target")
 
@@ -92,13 +112,13 @@ def solver_table(tracer: Tracer) -> List[Dict[str, object]]:
             # Traces recorded before the compiled kernel existed carry
             # no kernel attrs; report them as the only mode that existed.
             "kernel": attrs.get("kernel", "python"),
-            "recomputes": int(attrs.get("recomputes", 0)),
-            "full": int(attrs.get("full_solves", 0)),
-            "component": int(attrs.get("component_solves", 0)),
-            "fast": int(attrs.get("fast_grants", 0)),
-            "flows_solved": int(attrs.get("flows_solved", 0)),
-            "kernel_solves": int(attrs.get("kernel_solves", 0)),
-            "live_comps": int(attrs.get("live", 0)),
+            "recomputes": int(_number(event, "recomputes")),
+            "full": int(_number(event, "full_solves")),
+            "component": int(_number(event, "component_solves")),
+            "fast": int(_number(event, "fast_grants")),
+            "flows_solved": int(_number(event, "flows_solved")),
+            "kernel_solves": int(_number(event, "kernel_solves")),
+            "live_comps": int(_number(event, "live")),
         })
     return rows
 
@@ -125,9 +145,9 @@ def backend_table(tracer: Tracer) -> List[Dict[str, object]]:
                      "completed", "requeued", "speculative", "discarded",
                      "rejected", "crashed"):
             row[name] = int(sum(
-                float(event.attrs.get(name, 0)) for event in events))
+                float(_number(event, name)) for event in events))
         workers = max(
-            (int(float(event.attrs.get("workers", 0))) for event in events),
+            (int(_number(event, "workers")) for event in events),
             default=0)
         row["workers"] = workers
         rows.append(row)

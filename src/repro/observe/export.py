@@ -10,7 +10,7 @@ thread rows so one node's server and clients share a group.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, TextIO, Union
+from typing import Dict, List, TextIO, Union
 
 from repro.errors import ReproError
 from repro.observe.tracer import Span, TraceEvent, Tracer

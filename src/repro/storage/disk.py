@@ -22,13 +22,13 @@ effects layered on top:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.des.bandwidth import Flow, LinkCapacity
+from repro.des.bandwidth import LinkCapacity
+from repro.des.core import Event
 from repro.errors import StorageError
-from repro.units import KiB, MiB
+from repro.units import KiB
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.machine import Machine
@@ -177,77 +177,27 @@ class StorageTarget:
     def write_segment(self, source: "SMPNode", nbytes: float,
                       file_id: int = -1,
                       granularity: Optional[float] = None,
-                      label: str = "write"):
-        """Process: move ``nbytes`` from ``source`` into this target.
+                      label: str = "write") -> Event:
+        """Move ``nbytes`` from ``source`` into this target; returns the
+        event that fires when the last byte has landed.
 
         ``file_id`` feeds the object-concurrency model; ``granularity``
         is the contiguous access size (defaults to the whole segment).
         """
-        spec = self.spec
-        sim = self.machine.sim
-        started = sim.now
-        if spec.request_latency > 0:
-            yield sim.timeout(spec.request_latency)
-        self._enter(file_id)
-        slot = None
-        try:
-            if self._service_slots is not None:
-                slot = self._service_slots.request()
-                yield slot
-            grain = granularity if granularity is not None else nbytes
-            cap = self.request_rate_cap(grain) * self.straggler_factor()
-            path = self.machine.path_to_storage(source, self.link)
-            flow = self.machine.flows.transfer(
-                path, nbytes, rate_cap=max(cap, 1.0),
-                label=f"{self.name}.{label}")
-            yield flow.event
-        finally:
-            if slot is not None:
-                self._service_slots.release(slot)
-            self._leave(file_id)
-            self.bytes_written += nbytes
-            self.requests_served += 1
-            tracer = sim.tracer
-            if tracer.enabled:
-                tracer.record_span(
-                    "net_transfer", label, f"storage/{self.name}",
-                    started, sim.now, target=self.name,
-                    nbytes=int(nbytes), file_id=file_id,
-                    source=f"node{source.index}")
+        grain = granularity if granularity is not None else nbytes
+        path = self.machine.path_to_storage(source, self.link)
+        return _Segment(self, source, path, nbytes, grain, file_id, label,
+                        read=False)
 
     def read_segment(self, dest: "SMPNode", nbytes: float,
-                     file_id: int = -1, label: str = "read"):
-        """Process: move ``nbytes`` from this target to ``dest``."""
-        spec = self.spec
-        sim = self.machine.sim
-        started = sim.now
-        if spec.request_latency > 0:
-            yield sim.timeout(spec.request_latency)
-        self._enter(file_id)
-        slot = None
-        try:
-            if self._service_slots is not None:
-                slot = self._service_slots.request()
-                yield slot
-            cap = self.request_rate_cap(nbytes) * self.straggler_factor()
-            path = [self.link, dest.nic_rx]
-            if self.machine.fabric is not None:
-                path.insert(1, self.machine.fabric)
-            flow = self.machine.flows.transfer(
-                path, nbytes, rate_cap=max(cap, 1.0),
-                label=f"{self.name}.{label}")
-            yield flow.event
-        finally:
-            if slot is not None:
-                self._service_slots.release(slot)
-            self._leave(file_id)
-            tracer = sim.tracer
-            if tracer.enabled:
-                tracer.record_span(
-                    "net_transfer", label, f"storage/{self.name}",
-                    started, sim.now, target=self.name,
-                    nbytes=int(nbytes), file_id=file_id,
-                    source=f"node{dest.index}", direction="read")
+                     file_id: int = -1, label: str = "read") -> Event:
+        """Move ``nbytes`` from this target to ``dest``; returns the event
+        that fires when the last byte has arrived."""
+        path = [self.link, dest.nic_rx]
+        if self.machine.fabric is not None:
+            path.insert(1, self.machine.fabric)
+        return _Segment(self, dest, path, nbytes, nbytes, file_id, label,
+                        read=True)
 
     def _enter(self, file_id: int) -> None:
         self.active_streams += 1
@@ -267,3 +217,71 @@ class StorageTarget:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<StorageTarget {self.name} streams={self.active_streams} "
                 f"objects={len(self._active_objects)}>")
+
+
+class _Segment(Event):
+    """One stripe segment in flight: an event that succeeds once its
+    flow has landed.
+
+    Its bound methods are the request's steps, in order: the request
+    latency (a bare ``call_later``), a service slot, the flow, then
+    ``succeed``. No generator process drives a segment, so a striped
+    write pays no process start, resume or exit per stripe.
+    """
+
+    __slots__ = ("target", "node", "path", "nbytes", "grain", "file_id",
+                 "label", "read", "started", "slot")
+
+    def __init__(self, target: StorageTarget, node: "SMPNode", path: list,
+                 nbytes: float, grain: float, file_id: int, label: str,
+                 read: bool) -> None:
+        sim = target.machine.sim
+        super().__init__(sim)
+        self.target = target
+        self.node = node
+        self.path = path
+        self.nbytes = nbytes
+        self.grain = grain
+        self.file_id = file_id
+        self.label = label
+        self.read = read
+        self.started = sim.now
+        self.slot = None
+        sim.call_later(target.spec.request_latency, self._arrive)
+
+    def _arrive(self) -> None:
+        target = self.target
+        target._enter(self.file_id)
+        slots = target._service_slots
+        if slots is None:
+            self._transfer()
+        else:
+            self.slot = slots.request()
+            self.slot.callbacks.append(self._transfer)
+
+    def _transfer(self, _granted: Optional[Event] = None) -> None:
+        target = self.target
+        cap = target.request_rate_cap(self.grain) * target.straggler_factor()
+        flow = target.machine.flows.transfer(
+            self.path, self.nbytes, rate_cap=max(cap, 1.0),
+            label=f"{target.name}.{self.label}")
+        flow.event.callbacks.append(self._land)
+
+    def _land(self, _flow_done: Event) -> None:
+        target = self.target
+        if self.slot is not None:
+            target._service_slots.release(self.slot)
+        target._leave(self.file_id)
+        if not self.read:
+            target.bytes_written += self.nbytes
+            target.requests_served += 1
+        sim = self.sim
+        tracer = sim.tracer
+        if tracer.enabled:
+            attrs = {"direction": "read"} if self.read else {}
+            tracer.record_span(
+                "net_transfer", self.label, f"storage/{target.name}",
+                self.started, sim.now, target=target.name,
+                nbytes=int(self.nbytes), file_id=self.file_id,
+                source=f"node{self.node.index}", **attrs)
+        self.succeed()

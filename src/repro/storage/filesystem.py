@@ -1,14 +1,18 @@
 """Parallel file system base: files, handles, create/open/write/close paths.
 
-All I/O entry points are generator *processes* (run with
-``machine.sim.process(...)`` or delegated with ``yield from``); they charge
-metadata queueing, lock acquisition and bandwidth-shared data movement as
-the paper's mechanisms dictate.
+All I/O entry points are generator functions that a rank or server
+program delegates to with ``yield from`` (or runs as its own process
+with ``machine.sim.process(...)``); they charge metadata queueing, lock
+acquisition and bandwidth-shared data movement as the paper's mechanisms
+dictate. ``write`` and ``read`` split a request over the file's stripes
+and wait on one completion event per target segment
+(:meth:`~repro.storage.disk.StorageTarget.write_segment`); segments are
+callback chains, not processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.des.process import AllOf
@@ -190,17 +194,16 @@ class ParallelFileSystem:
                 yield from self.locks.acquire(file.file_id, handle.owner,
                                               full, partial)
         transfers = [
-            self.machine.sim.process(
-                self.targets[t].write_segment(handle.node, seg_bytes,
-                                              file_id=file.file_id,
-                                              granularity=granularity,
-                                              label=label))
+            self.targets[t].write_segment(handle.node, seg_bytes,
+                                          file_id=file.file_id,
+                                          granularity=granularity,
+                                          label=label)
             for t, seg_bytes in segments.items()
         ]
         if len(transfers) == 1:
             yield transfers[0]
         else:
-            yield AllOf(self.machine.sim, transfers)
+            yield AllOf(sim, transfers)
         file.size = max(file.size, offset + nbytes)
         self.bytes_written += nbytes
         tracer = sim.tracer
@@ -244,10 +247,9 @@ class ParallelFileSystem:
             return 0
         segments = handle.file.layout.split(offset, nbytes)
         transfers = [
-            self.machine.sim.process(
-                self.targets[t].read_segment(handle.node, seg_bytes,
-                                             file_id=handle.file.file_id,
-                                             label=label))
+            self.targets[t].read_segment(handle.node, seg_bytes,
+                                         file_id=handle.file.file_id,
+                                         label=label)
             for t, seg_bytes in segments.items()
         ]
         yield AllOf(self.machine.sim, transfers)

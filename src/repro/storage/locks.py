@@ -20,7 +20,7 @@ The model therefore distinguishes:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterable, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Sequence, Tuple
 
 from repro.des.resources import Resource
 

@@ -9,10 +9,9 @@ per-target segment sizes — the unit of work handed to the flow network.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import StorageError
-from repro.units import MiB
 
 __all__ = ["StripeLayout"]
 

@@ -79,17 +79,16 @@ class DamarisStrategy(IOStrategy):
         ctx.state["server_processes"] = self.deployment.server_processes
 
     def write_phase(self, ctx: StrategyContext, rank: int, phase: int):
-        machine = ctx.machine
         client = self.deployment.client_for_core(
             ctx.comm.cores[rank].global_index)
         for name in ctx.workload.variable_bytes(ctx.dilation):
-            yield machine.sim.process(client.df_write(name, phase))
-        yield machine.sim.process(client.df_signal(END_EVENT, phase))
+            yield from client.df_write(name, phase)
+        yield from client.df_signal(END_EVENT, phase)
 
     def rank_teardown(self, ctx: StrategyContext, rank: int):
         client = self.deployment.client_for_core(
             ctx.comm.cores[rank].global_index)
-        yield ctx.machine.sim.process(client.df_finalize())
+        yield from client.df_finalize()
 
     def drain_events(self, ctx: StrategyContext):
         """The experiment also waits for every server to flush and stop."""

@@ -53,7 +53,6 @@ class FilePerProcessStrategy(IOStrategy):
 
         path = f"fpp/phase{phase}/rank{rank}.h5"
         file_bytes = ctx.hdf5.file_bytes(data_bytes, ctx.ndatasets)
-        handle = yield machine.sim.process(ctx.fs.create(node, path))
-        yield machine.sim.process(
-            ctx.fs.write(handle, 0, int(file_bytes), label="fpp"))
-        yield machine.sim.process(ctx.fs.close(handle))
+        handle = yield from ctx.fs.create(node, path)
+        yield from ctx.fs.write(handle, 0, int(file_bytes), label="fpp")
+        yield from ctx.fs.close(handle)

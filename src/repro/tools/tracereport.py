@@ -43,7 +43,10 @@ from repro.observe.aggregate import (
 )
 from repro.observe.export import dump_chrome_trace, load_jsonl
 
-_GROUPINGS = ("actor", "category", "target", "solver", "backend")
+#: ``--by`` value -> the table it prints.
+_TABLES = {"actor": per_actor_table, "category": per_category_table,
+           "target": per_target_table, "solver": solver_table,
+           "backend": backend_table}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -69,8 +72,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             grouping = argv[at + 1]
         except IndexError:
             grouping = ""
-        if grouping not in _GROUPINGS:
-            print(f"--by requires one of: {', '.join(_GROUPINGS)}",
+        if grouping not in _TABLES:
+            print(f"--by requires one of: {', '.join(_TABLES)}",
                   file=sys.stderr)
             return 2
         del argv[at:at + 2]
@@ -92,18 +95,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"wrote Chrome trace to {chrome_out} "
               f"(open at chrome://tracing or https://ui.perfetto.dev)")
 
-    if grouping == "actor":
-        print(render_table(per_actor_table(tracer)))
-    elif grouping == "category":
-        print(render_table(per_category_table(tracer)))
-    elif grouping == "target":
-        print(render_table(per_target_table(tracer)))
-    elif grouping == "solver":
-        print(render_table(solver_table(tracer)))
-    elif grouping == "backend":
-        print(render_table(backend_table(tracer)))
-    else:
-        print(render_summary(tracer))
+    try:
+        if grouping is None:
+            report = render_summary(tracer)
+        else:
+            report = render_table(_TABLES[grouping](tracer))
+    except ReproError as exc:
+        print(f"cannot report {path!r}: {exc}", file=sys.stderr)
+        return 1
+    print(report)
     return 0
 
 

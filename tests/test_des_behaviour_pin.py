@@ -6,6 +6,11 @@ actor), to a digest. The recorded digests come from the engine before
 it inlined waited-on child processes and turned stripe segments into
 callback chains, so an engine change that reorders, retimes or drops an
 observable interval fails here with the case named.
+
+The process counts pin the structural side of that change: a run spawns
+one process per rank program, per dedicated-core server and per
+failover replay, plus the platform's cross-application interference
+walk — none per ``df_write``, file-system call or stripe segment.
 """
 
 import hashlib
@@ -14,6 +19,7 @@ import json
 import pytest
 
 from repro.des import AllOf
+from repro.des.process import Process
 from repro.experiments.harness import run_experiment
 from repro.experiments.specs import PRESETS, strategy_from_spec
 from repro.faults import FaultSchedule
@@ -21,7 +27,7 @@ from repro.observe.tracer import Tracer
 from repro.units import MiB
 
 _CRASH = {"name": "crash", "faults": [
-    {"kind": "node_crash", "time": 150.0, "duration": 20.0, "nodes": [1]},
+    {"kind": "node_crash", "time": 225.2, "duration": 20.0, "nodes": [1]},
 ]}
 
 #: name -> (preset, ncores, strategy sub-spec, write phases, faults)
@@ -49,9 +55,36 @@ DIGESTS = {
     "damaris-plain": "48b0804b4f3e4320",
     "damaris-scheduler": "407173fed37ecf51",
     "damaris-gzip": "efd6929b55e357c0",
-    "damaris-failover-crash": "8e9a199fc15f83f0",
+    "damaris-failover-crash": "323f4903440ce153",
     "fs-read": "3ab15f5f977a4653",
 }
+
+#: Processes each case spawns: 48 fpp/collective ranks, or 46 (PVFS,
+#: 2 nodes) / 44 (Lustre, 4 nodes) Damaris ranks plus one server per
+#: node; the crash adds one replay; each run adds the interference walk.
+PROCESSES = {
+    "fpp-kraken": 48 + 1,
+    "collective-two-phase-lustre": 48 + 1,
+    "collective-direct-pvfs": 48 + 1,
+    "damaris-plain": 46 + 2 + 1,
+    "damaris-scheduler": 44 + 4 + 1,
+    "damaris-gzip": 46 + 2 + 1,
+    "damaris-failover-crash": 44 + 4 + 1 + 1,
+}
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Counts the processes started while the test runs."""
+    count = [0]
+    init = Process.__init__
+
+    def counting_init(self, sim, generator):
+        count[0] += 1
+        init(self, sim, generator)
+
+    monkeypatch.setattr(Process, "__init__", counting_init)
+    return count
 
 
 def span_digest(tracer: Tracer) -> str:
@@ -104,14 +137,19 @@ def run_read_case():
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_spans_match_recorded_digest(name):
-    _result, tracer = run_case(name)
+def test_spans_match_recorded_digest(name, spawned):
+    result, tracer = run_case(name)
     assert tracer.spans
     assert span_digest(tracer) == DIGESTS[name]
+    assert spawned[0] == PROCESSES[name]
+    if name == "damaris-failover-crash":
+        assert result.fault_records[0]["iterations_replayed"] == 1
 
 
-def test_parallel_file_system_read_matches_recorded_digest():
+def test_parallel_file_system_read_matches_recorded_digest(spawned):
     tracer = run_read_case()
+    # The writer, the twenty readers and the interference walk.
+    assert spawned[0] == 1 + 20 + 1
     reads = [span for span in tracer.spans_in("net_transfer")
              if span.attrs.get("direction") == "read"]
     assert len(reads) == 40

@@ -196,6 +196,22 @@ class TestKill:
         sim.process(killer())
         sim.run()
 
+    def test_kill_before_first_step(self):
+        sim = Simulator()
+        log = []
+
+        def child():
+            log.append("should never run")
+            yield sim.timeout(1.0)
+
+        victim = sim.process(child())
+        victim.kill()
+        sim.run()
+        assert log == []
+        assert not victim.is_alive
+        assert isinstance(victim.exception, ProcessKilled)
+        assert sim.now == 0.0
+
 
 class TestConditions:
     def test_anyof_fires_on_first(self):

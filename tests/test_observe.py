@@ -324,3 +324,35 @@ class TestTracereportCli:
             bad.write_text(json.dumps(record) + "\n")
             assert tracereport.main([str(bad)]) == 1
             assert "trace line 1" in capsys.readouterr().err
+
+    @staticmethod
+    def _report_error(path, grouping, capsys):
+        """Exit status and stderr of one ``--by`` report of ``path``,
+        with the summary view required to fail the same way."""
+        assert tracereport.main([str(path)]) == 1
+        capsys.readouterr()
+        status = tracereport.main([str(path), "--by", grouping])
+        err = capsys.readouterr().err
+        return status, err
+
+    def test_solver_counter_that_is_not_a_number(self, tmp_path, capsys):
+        path = tmp_path / "solver.jsonl"
+        path.write_text(json.dumps(
+            {"type": "event", "cat": "solver", "name": "recompute",
+             "actor": "flows", "time": 1.0,
+             "attrs": {"recomputes": "x"}}) + "\n")
+        status, err = self._report_error(path, "solver", capsys)
+        assert status == 1
+        assert err.count("\n") == 1
+        assert str(path) in err and "'recomputes'" in err
+
+    def test_target_that_is_not_a_string(self, tmp_path, capsys):
+        path = tmp_path / "target.jsonl"
+        path.write_text(json.dumps(
+            {"type": "span", "cat": "net_transfer", "name": "write",
+             "actor": "storage/fs.t0", "start": 0.0, "end": 1.0,
+             "attrs": {"target": [1], "nbytes": 4}}) + "\n")
+        status, err = self._report_error(path, "target", capsys)
+        assert status == 1
+        assert err.count("\n") == 1
+        assert str(path) in err and "'target'" in err

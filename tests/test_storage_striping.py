@@ -160,10 +160,9 @@ class TestStorageTarget:
         machine, target = self.make_target(straggler_sigma=0.0,
                                            request_latency=0.0)
         node = machine.nodes[0]
-        proc = machine.sim.process(
-            target.write_segment(node, 10 * MiB, file_id=1))
+        done = target.write_segment(node, 10 * MiB, file_id=1)
         machine.sim.run()
-        assert proc.processed
+        assert done.processed
         assert target.bytes_written == 10 * MiB
         assert target.requests_served == 1
         assert target.active_streams == 0
@@ -173,14 +172,12 @@ class TestStorageTarget:
             straggler_sigma=0.0, request_latency=0.0, object_half=2.0)
         node = machine.nodes[0]
         for i in range(4):
-            machine.sim.process(
-                target.write_segment(node, 10 * MiB, file_id=i))
+            target.write_segment(node, 10 * MiB, file_id=i)
         baseline_machine, baseline_target = self.make_target(
             straggler_sigma=0.0, request_latency=0.0, object_half=1e9)
         for i in range(4):
-            baseline_machine.sim.process(
-                baseline_target.write_segment(baseline_machine.nodes[0],
-                                              10 * MiB, file_id=i))
+            baseline_target.write_segment(baseline_machine.nodes[0],
+                                          10 * MiB, file_id=i)
         machine.sim.run()
         baseline_machine.sim.run()
         assert machine.sim.now > baseline_machine.sim.now
@@ -191,16 +188,14 @@ class TestStorageTarget:
             request_overhead_bytes=1 * MiB)
         node = machine.nodes[0]
         # 10 MiB written with 64 KiB granularity: cap = peak * 1/17.
-        proc = machine.sim.process(
-            target.write_segment(node, 10 * MiB, file_id=1,
-                                 granularity=64 * KiB))
+        target.write_segment(node, 10 * MiB, file_id=1,
+                             granularity=64 * KiB)
         machine.sim.run()
         coarse_machine, coarse_target = self.make_target(
             straggler_sigma=0.0, request_latency=0.0,
             request_overhead_bytes=1 * MiB)
-        coarse_machine.sim.process(
-            coarse_target.write_segment(coarse_machine.nodes[0], 10 * MiB,
-                                        file_id=1))
+        coarse_target.write_segment(coarse_machine.nodes[0], 10 * MiB,
+                                    file_id=1)
         coarse_machine.sim.run()
         assert machine.sim.now > 5 * coarse_machine.sim.now
 
