@@ -48,7 +48,12 @@ the committed baseline; it only checks the invariants still hold.
 committed baseline instead of rewriting it: scenario invariants must
 match and wall times must stay within ``--tolerance`` (default 0.10,
 or ``REPRO_BENCH_TOLERANCE``) of the recorded values — this is the
-guard that tracing hooks stay free when tracing is disabled.
+guard that tracing hooks stay free when tracing is disabled. The
+baseline records the kernel it was taken with (``kernel``). Most
+scenarios time the default kernel, so their wall keys are compared only
+when the kernel resolves to that one; ``mega_storm`` times each kernel
+explicitly, so its two walls are compared on any leg, and so is every
+invariant.
 """
 
 from __future__ import annotations
@@ -63,6 +68,11 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 BASELINE_PATH = os.path.join(os.path.dirname(__file__),
                              "BENCH_des_kernel.json")
+
+#: Wall keys timed with an explicitly chosen kernel; every other wall
+#: key times the default kernel.
+EXPLICIT_KERNEL_WALLS = {("mega_storm", "wall_s"),
+                         ("mega_storm", "wall_python_s")}
 
 
 def bench_flow_storm(nflows: int = 4096):
@@ -345,17 +355,24 @@ def _fmt_value(value) -> str:
     return repr(value)
 
 
-def check_against_baseline(results: dict, tolerance: float) -> int:
-    """Compare a full run against the committed baseline.
+def check_against_baseline(results: dict, tolerance: float,
+                           kernel: str) -> int:
+    """Compare a full run, made with ``kernel`` as the default, against
+    the committed baseline.
 
     Invariant fields must match exactly (or near-exactly for float
     accumulators); wall times (any key starting with ``wall``) may
-    regress at most ``tolerance`` (relative). On any failure the whole
-    per-key comparison is printed as an old/new/delta table — a CI
-    regression must be diagnosable from the log alone, not just from
-    its first offending key. Returns the number of failures."""
+    regress at most ``tolerance`` (relative). A wall of the default
+    kernel is skipped when ``kernel`` is not the one the baseline was
+    recorded with: the python kernel is several times slower by design.
+    On any failure the whole per-key comparison is printed as an
+    old/new/delta table — a CI regression must be diagnosable from the
+    log alone, not just from its first offending key. Returns the
+    number of failures."""
     with open(BASELINE_PATH, encoding="utf-8") as fh:
-        baseline = json.load(fh)["results"]
+        recorded_run = json.load(fh)
+    baseline = recorded_run["results"]
+    baseline_kernel = recorded_run["kernel"]
     rows = []  # (scenario.key, old, new, delta, status)
     failures = 0
     for name, recorded in baseline.items():
@@ -379,7 +396,12 @@ def check_against_baseline(results: dict, tolerance: float) -> int:
                 delta = "="
             else:
                 delta = "!="
-            if key.startswith("wall"):
+            if key.startswith("wall") and kernel != baseline_kernel \
+                    and (name, key) not in EXPLICIT_KERNEL_WALLS:
+                ok = True
+                status = (f"skipped (kernel {kernel}, baseline "
+                          f"{baseline_kernel})")
+            elif key.startswith("wall"):
                 ok = got <= expected * (1.0 + tolerance)
                 status = "ok" if ok else f"FAIL (>+{100 * tolerance:.0f} %)"
             elif isinstance(expected, float):
@@ -402,8 +424,9 @@ def check_against_baseline(results: dict, tolerance: float) -> int:
             print("  " + "  ".join(str(cell).ljust(width)
                                    for cell, width in zip(row, widths)))
     else:
-        for label, old, new, delta, _status in rows:
-            print(f"check ok   {label}: {new} (baseline {old}, {delta})")
+        for label, old, new, delta, status in rows:
+            print(f"check {status:<4} {label}: {new} (baseline {old}, "
+                  f"{delta})")
     return failures
 
 
@@ -418,11 +441,13 @@ def main(argv=None) -> int:
                              "instead of rewriting it")
     parser.add_argument("--tolerance", type=float,
                         default=float(os.environ.get(
-                            "REPRO_BENCH_TOLERANCE", "0.10")),
+                            "REPRO_BENCH_TOLERANCE") or "0.10"),
                         help="relative wall-time regression allowed by "
                              "--check (default 0.10)")
     args = parser.parse_args(argv)
 
+    from repro.des.kernels import resolve_kernel
+    kernel = resolve_kernel(None)
     if args.smoke:
         results = {
             "flow_storm": bench_flow_storm(nflows=512),
@@ -458,7 +483,7 @@ def main(argv=None) -> int:
         f"during chained arrivals (expected a handful of live events)")
 
     if args.check:
-        failures = check_against_baseline(results, args.tolerance)
+        failures = check_against_baseline(results, args.tolerance, kernel)
         if failures:
             print(f"check FAILED ({failures} deviation(s) from "
                   f"{BASELINE_PATH})")
@@ -468,6 +493,7 @@ def main(argv=None) -> int:
         payload = {
             "bench": "des_kernel",
             "command": "PYTHONPATH=src python benchmarks/bench_des_kernel.py",
+            "kernel": kernel,
             "results": results,
         }
         with open(BASELINE_PATH, "w", encoding="utf-8") as fh:

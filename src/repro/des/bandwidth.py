@@ -48,11 +48,14 @@ O(everything):
   the same solve. The rounds run in the compiled C kernel by default
   (:mod:`repro.des.kernels`; numpy when no C compiler is found), with
   bit-identical results either way.
-- **packed active indices** — :meth:`_advance` and
-  :meth:`_complete_finished` touch only the packed array of active slots,
-  not the whole (grown) slot arrays; the packed ascending array is
-  maintained incrementally under insert/release (batched
-  ``searchsorted`` merges) instead of being re-sorted from scratch.
+- **O(changed) bookkeeping** — an arrival or departure touches plain
+  Python state (one resource tuple per slot, per-capacity flow counts in
+  a list) and a few scalar slots of the numpy arrays; the packed
+  ascending array of active slots is one ``np.flatnonzero`` per change,
+  cached until the next. Each recompute then makes one pass over those
+  active slots to advance them and flag the finished ones, and one more
+  for the next completion: a C call each on the compiled kernel, a few
+  vectorised numpy statements on the ``python`` kernel.
 - **incremental arrivals + a reschedulable completion tick** — an arrival
   batch whose flows are all rate-cap-limited and fit into the slack of
   every capacity they touch cannot change existing allocations (each new
@@ -74,8 +77,9 @@ import numpy as np
 
 from repro.des.core import Event, Simulator, PRIORITY_LATE
 from repro.des.kernels import (KERNEL_COMPILED, KERNEL_PYTHON,
+                               MaxminKernel, advance_finish_np,
                                compiled_kernel, maxmin_class_solve_np,
-                               resolve_kernel)
+                               next_finish_np, resolve_kernel)
 from repro.errors import SimulationError
 
 __all__ = ["LinkCapacity", "Flow", "FlowNetwork",
@@ -84,8 +88,6 @@ __all__ = ["LinkCapacity", "Flow", "FlowNetwork",
 
 #: Maximum number of capacities a single flow may traverse.
 MAX_RES_PER_FLOW = 4
-
-_REL_EPS = 1e-9
 
 #: Relative slack a capacity must keep for the incremental arrival path:
 #: a touched capacity must stay below this fraction of its size after the
@@ -177,6 +179,130 @@ class Flow:
         return f"<Flow {self.label!r} {self.nbytes:.3g} B>"
 
 
+class _NumpyPass:
+    """The ``python`` kernel's per-recompute work: vectorised numpy
+    statements over the packed active slots (see
+    :func:`~repro.des.kernels.advance_finish_np`)."""
+
+    __slots__ = ()
+
+    def unpin(self) -> None:
+        """Nothing is pinned: numpy indexes the arrays afresh each call."""
+
+    def advance_finish(self, net: "FlowNetwork", idx: np.ndarray,
+                       dt: float, now: float) -> Optional[np.ndarray]:
+        moved, done = advance_finish_np(
+            idx, net._rate, net._remaining, net._start, dt, now,
+            net.completion_slack)
+        if moved is not None:
+            net.total_bytes_moved += float(moved.sum())
+        return idx[done] if done.any() else None
+
+    def next_finish(self, net: "FlowNetwork", idx: np.ndarray) -> float:
+        return next_finish_np(idx, net._remaining, net._rate)
+
+    def solve(self, net: "FlowNetwork", idx: np.ndarray,
+              whole: bool) -> None:
+        flow_class = net._slot_class[idx]
+        rates, used = maxmin_class_solve_np(
+            flow_class, net._class_res, net._class_cap, net._capacities,
+            net.fairness_slack)
+        net._rate[idx] = rates
+        if whole:
+            net._cap_used[:] = used
+        else:
+            touched = net._class_res[flow_class]
+            touched = np.unique(touched[touched >= 0])
+            net._cap_used[touched] = used[touched]
+
+
+class _CompiledPass:
+    """The same work as :class:`_NumpyPass`, one C call each.
+
+    The C functions take raw addresses, and ``ndarray.ctypes.data`` costs
+    more than a small kernel call, so the addresses of the network's
+    arrays are taken once (:meth:`_pin`) and kept until the network
+    reallocates one of them (:meth:`unpin`). The pass owns the kernel's
+    scratch maps, which read all -1 between calls, and its output
+    buffers for moved bytes and the done mask.
+    """
+
+    __slots__ = ("kernel", "moved", "done", "class_map", "res_map", "addr",
+                 "idx", "idx_addr")
+
+    def __init__(self, kernel: MaxminKernel) -> None:
+        self.kernel = kernel
+        self.moved = np.empty(0, dtype=np.float64)
+        self.done = np.empty(0, dtype=bool)
+        self.class_map = np.empty(0, dtype=np.int64)
+        self.res_map = np.empty(0, dtype=np.int64)
+        self.addr: Optional[Tuple[int, ...]] = None
+        self.idx: Optional[np.ndarray] = None
+        self.idx_addr = 0
+
+    def unpin(self) -> None:
+        self.addr = None
+
+    def _pin(self, net: "FlowNetwork") -> Tuple[int, ...]:
+        slots = net._rate.size
+        if self.moved.size < slots:
+            self.moved = np.empty(slots, dtype=np.float64)
+            self.done = np.empty(slots, dtype=bool)
+        if self.class_map.size < net._class_cap.size:
+            self.class_map = np.full(net._class_cap.size, -1, dtype=np.int64)
+        if self.res_map.size < net._capacities.size:
+            self.res_map = np.full(net._capacities.size, -1, dtype=np.int64)
+        self.addr = tuple(arr.ctypes.data for arr in (
+            net._rate, net._remaining, net._start, self.moved, self.done,
+            net._slot_class, net._class_res, net._class_cap,
+            net._capacities, self.class_map, self.res_map, net._cap_used))
+        return self.addr
+
+    def _idx_address(self, idx: np.ndarray) -> int:
+        if idx is not self.idx:
+            self.idx = idx
+            self.idx_addr = idx.ctypes.data
+        return self.idx_addr
+
+    def advance_finish(self, net: "FlowNetwork", idx: np.ndarray,
+                       dt: float, now: float) -> Optional[np.ndarray]:
+        rate, remaining, start, moved, done = (self.addr
+                                               or self._pin(net))[:5]
+        n = idx.size
+        ndone = self.kernel.advance_fn(
+            n, self._idx_address(idx), rate, remaining, start, dt, now,
+            net.completion_slack, moved, done)
+        if dt > 0:
+            # Summed in numpy, as the python kernel sums: pairwise, so
+            # total_bytes_moved is bit-identical across kernels.
+            net.total_bytes_moved += float(self.moved[:n].sum())
+        return idx[self.done[:n]] if ndone else None
+
+    def next_finish(self, net: "FlowNetwork", idx: np.ndarray) -> float:
+        rate, remaining = (self.addr or self._pin(net))[:2]
+        return self.kernel.next_finish_fn(
+            idx.size, self._idx_address(idx), remaining, rate)
+
+    def solve(self, net: "FlowNetwork", idx: np.ndarray,
+              whole: bool) -> None:
+        # Rates land in net._rate at the solved slots, consumption in
+        # net._cap_used at the capacities they touch, so a `whole` solve
+        # needs nothing more: a capacity that no active flow touches
+        # already reads 0.0 (`_release_slot` resets it).
+        (rate, _rem, _start, _moved, _done, slot_class, class_res,
+         class_cap, capacities, class_map, res_map, cap_used) = \
+            self.addr or self._pin(net)
+        net._stat_kernel_solves += 1
+        if self.kernel.solve_fn(
+                idx.size, self._idx_address(idx), slot_class,
+                MAX_RES_PER_FLOW, class_res, class_cap, capacities,
+                net.fairness_slack, class_map, res_map, rate,
+                cap_used) < 0:
+            raise SimulationError(
+                f"compiled maxmin kernel ran out of memory for "
+                f"{idx.size} flows")
+
+
 class FlowNetwork:
     """All capacities and flows of one simulated machine.
 
@@ -221,8 +347,8 @@ class FlowNetwork:
         #: see :mod:`repro.des.kernels`); bit-identical at any slack, so
         #: this is pure speed.
         self.kernel = resolve_kernel(kernel)
-        self._kernel_impl = (compiled_kernel()
-                             if self.kernel == KERNEL_COMPILED else None)
+        self._pass = (_CompiledPass(compiled_kernel())
+                      if self.kernel == KERNEL_COMPILED else _NumpyPass())
         self._capacities = np.zeros(0, dtype=float)
         self._cap_names: List[str] = []
         self._links: Dict[str, LinkCapacity] = {}
@@ -233,7 +359,8 @@ class FlowNetwork:
         self._flow_cap = np.full(size, np.inf, dtype=float)
         self._active = np.zeros(size, dtype=bool)
         self._start = np.zeros(size, dtype=float)
-        self._res = np.full((size, MAX_RES_PER_FLOW), -1, dtype=np.int64)
+        #: Capacity indices of each slot's flow, one tuple per slot.
+        self._slot_res: List[Tuple[int, ...]] = [()] * size
         self._flows: List[Optional[Flow]] = [None] * size
         self._free: List[int] = list(range(size - 1, -1, -1))
 
@@ -250,16 +377,10 @@ class FlowNetwork:
         self._class_res = np.full((64, MAX_RES_PER_FLOW), -1, dtype=np.int64)
         self._class_cap = np.zeros(64, dtype=float)
 
-        # Packed active-slot bookkeeping: the set mutates in O(1) per
-        # arrival/departure; the packed ascending index array absorbs the
-        # pending inserts/removals in one batched searchsorted merge on
-        # next access, so the vectorised paths touch O(active) slots and
-        # maintenance costs O(active + changed·log changed) per batch —
-        # never a from-scratch sort of the whole set.
-        self._active_set: Set[int] = set()
-        self._active_idx = np.zeros(0, dtype=np.int64)
-        self._idx_add: Set[int] = set()
-        self._idx_del: Set[int] = set()
+        # Active slots: a count, and the packed ascending index array,
+        # rebuilt by one flatnonzero on first use after a change.
+        self._nactive = 0
+        self._active_idx: Optional[np.ndarray] = None
 
         # Contention-component registry: a union-find over capacity
         # indices tracks the connected components of the resource graph.
@@ -270,10 +391,10 @@ class FlowNetwork:
         self._res_parent: List[int] = []
         self._comp_slots: Dict[int, Set[int]] = {}
         self._comp_dirty: Set[int] = set()
-        self._slot_root = np.full(size, _CAPLESS_ROOT, dtype=np.int64)
+        self._slot_root: List[int] = [_CAPLESS_ROOT] * size
         #: Active flows per capacity; reaching zero resets the consumed
         #: bandwidth entry so the fast path never sees a stale value.
-        self._res_nflows = np.zeros(0, dtype=np.int64)
+        self._res_nflows: List[int] = []
         self._departed_since_rebuild = 0
 
         # Incremental-arrival fast path state.
@@ -319,8 +440,9 @@ class FlowNetwork:
         self._cap_names.append(name)
         self._capacities = np.append(self._capacities, float(capacity))
         self._cap_used = np.append(self._cap_used, 0.0)
+        self._pass.unpin()
         self._res_parent.append(index)
-        self._res_nflows = np.append(self._res_nflows, 0)
+        self._res_nflows.append(0)
         link = LinkCapacity(self, index, name)
         self._links[name] = link
         return link
@@ -330,38 +452,14 @@ class FlowNetwork:
 
     @property
     def active_flow_count(self) -> int:
-        return len(self._active_set)
-
-    def _activate_slot(self, index: int) -> None:
-        self._active_set.add(index)
-        if index in self._idx_del:
-            self._idx_del.discard(index)
-        else:
-            self._idx_add.add(index)
-
-    def _deactivate_slot(self, index: int) -> None:
-        self._active_set.discard(index)
-        if index in self._idx_add:
-            self._idx_add.discard(index)
-        else:
-            self._idx_del.add(index)
+        return self._nactive
 
     def _active_indices(self) -> np.ndarray:
         """The packed, ascending array of active slot indices."""
-        if self._idx_del:
-            base = self._active_idx
-            dels = np.fromiter(sorted(self._idx_del), dtype=np.int64,
-                               count=len(self._idx_del))
-            self._active_idx = np.delete(base, np.searchsorted(base, dels))
-            self._idx_del.clear()
-        if self._idx_add:
-            base = self._active_idx
-            adds = np.fromiter(sorted(self._idx_add), dtype=np.int64,
-                               count=len(self._idx_add))
-            self._active_idx = np.insert(
-                base, np.searchsorted(base, adds), adds)
-            self._idx_add.clear()
-        return self._active_idx
+        idx = self._active_idx
+        if idx is None:
+            idx = self._active_idx = np.flatnonzero(self._active)
+        return idx
 
     # ------------------------------------------------------------------ #
     # contention components
@@ -392,22 +490,20 @@ class FlowNetwork:
             self._comp_dirty.add(rb)
         return rb
 
-    def _attach_component(self, index: int,
-                          res_indices: Tuple[int, ...]) -> None:
-        """Place a newly arrived flow slot into its component."""
-        if not res_indices:
+    def _place(self, index: int, res: Tuple[int, ...]) -> None:
+        """Put an active slot into the component of its capacities."""
+        if not res:
             root = _CAPLESS_ROOT
         else:
-            root = self._find(res_indices[0])
-            for res in res_indices[1:]:
-                root = self._union(root, res)
-            self._res_nflows[list(res_indices)] += 1
+            root = self._find(res[0])
+            for other in res[1:]:
+                root = self._union(root, other)
         self._comp_slots.setdefault(root, set()).add(index)
         self._slot_root[index] = root
 
     def _slot_component(self, index: int) -> int:
         """Current component root of an active slot."""
-        stored = int(self._slot_root[index])
+        stored = self._slot_root[index]
         return stored if stored < 0 else self._find(stored)
 
     def _mark_capacity_changed(self, index: int) -> None:
@@ -430,22 +526,9 @@ class FlowNetwork:
         had_dirty = bool(self._comp_dirty)
         self._comp_slots = {}
         self._comp_dirty = set()
-        res_row = self._res
-        for index in self._active_indices():
-            index = int(index)
-            row = res_row[index]
-            first = int(row[0])
-            if first < 0:
-                root = _CAPLESS_ROOT
-            else:
-                root = self._find(first)
-                for k in range(1, MAX_RES_PER_FLOW):
-                    res = int(row[k])
-                    if res < 0:
-                        break
-                    root = self._union(root, res)
-            self._comp_slots.setdefault(root, set()).add(index)
-            self._slot_root[index] = root
+        slot_res = self._slot_res
+        for index in self._active_indices().tolist():
+            self._place(index, slot_res[index])
         if had_dirty:
             # Pre-rebuild dirt cannot be mapped onto the new roots, so
             # conservatively mark every live component; re-solving a
@@ -476,9 +559,8 @@ class FlowNetwork:
         for root, slots in self._comp_slots.items():
             idx = np.fromiter(sorted(slots), dtype=np.int64,
                               count=len(slots))
-            with np.errstate(divide="ignore"):
-                finish = self._remaining[idx] / self._rate[idx]
-            out[root] = now + max(float(finish.min()), 0.0)
+            out[root] = now + max(
+                next_finish_np(idx, self._remaining, self._rate), 0.0)
         return out
 
     @property
@@ -508,10 +590,19 @@ class FlowNetwork:
 
         Returns a :class:`Flow` whose ``event`` succeeds (with the flow as
         value) once the last byte has moved. ``rate_cap`` bounds the flow's
-        own rate (per-stream efficiency, interference injection).
+        own rate (per-stream efficiency, interference injection);
+        ``inf`` means uncapped.
         """
-        if nbytes < 0:
-            raise SimulationError(f"cannot transfer negative bytes: {nbytes}")
+        # Written so that NaN fails too: a NaN volume would fail later,
+        # inside a recompute, an infinite one would never complete, and
+        # a NaN cap would run uncapped.
+        if not 0 <= nbytes < math.inf:
+            raise SimulationError(
+                f"flow {label!r}: nbytes must be a finite number >= 0, "
+                f"got {nbytes}")
+        if not rate_cap > 0:
+            raise SimulationError(
+                f"flow {label!r}: rate_cap must be > 0, got {rate_cap}")
         if len(resources) > MAX_RES_PER_FLOW:
             raise SimulationError(
                 f"flow spans {len(resources)} capacities, max is "
@@ -519,12 +610,12 @@ class FlowNetwork:
         if not resources and not math.isfinite(rate_cap):
             raise SimulationError(
                 "a flow needs at least one capacity or a finite rate cap")
-        for res in resources:
-            if res.network is not self:
+        res: Tuple[int, ...] = ()
+        for link in resources:
+            if link.network is not self:
                 raise SimulationError(
-                    f"capacity {res.name!r} belongs to another network")
-        if rate_cap <= 0:
-            raise SimulationError(f"rate_cap must be > 0, got {rate_cap}")
+                    f"capacity {link.name!r} belongs to another network")
+            res += (link.index,)
 
         event = Event(self.sim)
         if nbytes == 0:
@@ -539,15 +630,16 @@ class FlowNetwork:
         self._rate[index] = 0.0
         self._start[index] = self.sim.now
         self._flow_cap[index] = rate_cap
-        self._res[index, :] = -1
-        for k, res in enumerate(resources):
-            self._res[index, k] = res.index
+        self._slot_res[index] = res
         self._active[index] = True
+        self._active_idx = None
+        self._nactive += 1
         self._flows[index] = flow
-        res_indices = tuple(int(res.index) for res in resources)
-        self._slot_class[index] = self._class_of(res_indices, float(rate_cap))
-        self._attach_component(index, res_indices)
-        self._activate_slot(index)
+        self._slot_class[index] = self._class_of(res, float(rate_cap))
+        nflows = self._res_nflows
+        for r in res:
+            nflows[r] += 1
+        self._place(index, res)
         self._pending_new.append(index)
         self._request_recompute()
         return flow
@@ -572,6 +664,7 @@ class FlowNetwork:
                     grown_cap = np.zeros(grown, dtype=float)
                     grown_cap[:cid] = self._class_cap
                     self._class_cap = grown_cap
+                    self._pass.unpin()
             self._class_ids[key] = cid
             self._class_keys[cid] = key
             self._class_refs[cid] = 0
@@ -603,17 +696,14 @@ class FlowNetwork:
             grown_active = np.zeros(new, dtype=bool)
             grown_active[:old] = self._active
             self._active = grown_active
-            grown_res = np.full((new, MAX_RES_PER_FLOW), -1, dtype=np.int64)
-            grown_res[:old] = self._res
-            self._res = grown_res
             grown_class = np.zeros(new, dtype=np.int64)
             grown_class[:old] = self._slot_class
             self._slot_class = grown_class
-            grown_root = np.full(new, _CAPLESS_ROOT, dtype=np.int64)
-            grown_root[:old] = self._slot_root
-            self._slot_root = grown_root
+            self._slot_res.extend([()] * (new - old))
+            self._slot_root.extend([_CAPLESS_ROOT] * (new - old))
             self._flows.extend([None] * (new - old))
             self._free.extend(range(new - 1, old - 1, -1))
+            self._pass.unpin()
         return self._free.pop()
 
     def _cancel(self, flow: Flow) -> None:
@@ -624,17 +714,15 @@ class FlowNetwork:
         self._request_recompute()
 
     def _release_slot(self, index: int) -> None:
-        row = self._res[index]
-        for k in range(MAX_RES_PER_FLOW):
-            res = int(row[k])
-            if res < 0:
-                break
-            self._res_nflows[res] -= 1
-            if self._res_nflows[res] == 0:
+        res = self._slot_res[index]
+        nflows = self._res_nflows
+        for r in res:
+            nflows[r] -= 1
+            if not nflows[r]:
                 # No flows left on this capacity: its consumed-bandwidth
                 # entry must read exactly 0.0, as a full solve would
                 # compute, so the fast path never sees a stale positive.
-                self._cap_used[res] = 0.0
+                self._cap_used[r] = 0.0
         root = self._slot_component(index)
         slots = self._comp_slots.get(root)
         if slots is not None:
@@ -644,14 +732,15 @@ class FlowNetwork:
                 self._comp_dirty.discard(root)
             elif root >= 0:
                 self._comp_dirty.add(root)
-        if int(row[1]) >= 0:
+        if len(res) > 1:
             # Only a multi-resource flow can leave a stale union behind.
             self._departed_since_rebuild += 1
         self._active[index] = False
+        self._active_idx = None
+        self._nactive -= 1
         self._flows[index] = None
         self._rate[index] = 0.0
         self._remaining[index] = 0.0
-        self._deactivate_slot(index)
         self._free.append(index)
         cid = int(self._slot_class[index])
         self._class_refs[cid] -= 1
@@ -672,39 +761,37 @@ class FlowNetwork:
         # skip the Event + wrapper-lambda allocation on this hottest path.
         self.sim.call_later(0.0, self._recompute, priority=PRIORITY_LATE)
 
-    def _advance(self) -> None:
-        """Progress all active flows from the last update time to now.
-
-        Deliberately global even under the component solver: advancing a
-        clean component lazily (one coarse step at its own next event)
-        accumulates different floating-point rounding than the global
-        solver's per-event steps, which would break bit-identity between
-        ``solver="component"`` and ``solver="global"``.
-        """
-        now = self.sim.now
-        dt = now - self._last_update
-        if dt > 0 and self._active_set:
-            idx = self._active_indices()
-            moved = self._rate[idx] * dt
-            rem = self._remaining[idx] - moved
-            np.clip(rem, 0.0, None, out=rem)
-            self._remaining[idx] = rem
-            self.total_bytes_moved += float(moved.sum())
-        self._last_update = now
-
     def _recompute(self) -> None:
         self._recompute_scheduled = False
         self._stat_recomputes += 1
-        self._advance()
+        now = self.sim.now
+        dt = now - self._last_update
+        self._last_update = now
+        finished = None
+        if self._nactive:
+            # Progress every active flow to now and find the finished
+            # ones: one pass over the packed active slots. Deliberately
+            # global even under the component solver: advancing a clean
+            # component lazily (one coarse step at its own next event)
+            # accumulates different floating-point rounding than the
+            # global solver's per-event steps, which would break
+            # bit-identity between ``solver="component"`` and
+            # ``solver="global"``.
+            finished = self._pass.advance_finish(
+                self, self._active_indices(), dt, now)
         if self.solver != SOLVER_GLOBAL and self._departed_since_rebuild \
-                > max(64, len(self._active_set)):
+                > max(64, self._nactive):
+            # Before the finished flows are released: with a positive
+            # fairness slack, which flows are solved together moves
+            # their rates.
             self._rebuild_components()
-        completed = self._complete_finished()
+        if finished is not None:
+            self._complete(finished, now)
         arrivals, self._pending_new = self._pending_new, []
-        structural = self._pending_structural or completed
+        structural = self._pending_structural or finished is not None
         self._pending_structural = False
 
-        if not self._active_set:
+        if not self._nactive:
             self._tick_target = math.inf
             self._comp_dirty.clear()
             self._trace_solve()
@@ -725,9 +812,7 @@ class FlowNetwork:
             self._arm_from_finish()
             return
         idx = self._active_indices()
-        rates, used = self._maxmin_rates(idx)
-        self._rate[idx] = rates
-        self._cap_used = used
+        self._maxmin_rates(idx, whole=True)
         self._stat_full_solves += 1
         self._stat_flows_solved += idx.size
         self._arm_from_finish()
@@ -752,16 +837,14 @@ class FlowNetwork:
         self._stat_dirty_solved += len(dirty)
         covered = sum(len(self._comp_slots.get(root, ()))
                       for root in dirty)
-        if covered == len(self._active_set):
+        if covered == self._nactive:
             # The dirty set spans every active flow (a single fused
             # component, or a barrier batch touching all of them): one
             # whole-network solve over the cached packed index array is
             # bit-identical to solving the components one by one at
             # slack 0 and skips the per-component index/mask assembly.
             idx = self._active_indices()
-            rates, used = self._maxmin_rates(idx)
-            self._rate[idx] = rates
-            self._cap_used = used
+            self._maxmin_rates(idx, whole=True)
             self._stat_full_solves += 1
             self._stat_flows_solved += idx.size
         else:
@@ -787,11 +870,7 @@ class FlowNetwork:
                     for root in solve_roots])
                 self._stat_batched_solves += 1
             if solve_roots:
-                rates, used = self._maxmin_rates(idx)
-                self._rate[idx] = rates
-                touched = self._res[idx]
-                touched = np.unique(touched[touched >= 0])
-                self._cap_used[touched] = used[touched]
+                self._maxmin_rates(idx, whole=False)
                 self._stat_component_solves += len(solve_roots)
                 self._stat_flows_solved += idx.size
         dirty.clear()
@@ -811,7 +890,7 @@ class FlowNetwork:
                 flows_solved=self._stat_flows_solved,
                 kernel_solves=self._stat_kernel_solves,
                 live=len(self._comp_slots),
-                active=len(self._active_set))
+                active=self._nactive)
 
     # -- incremental arrivals ------------------------------------------- #
     def _fast_grant(self, arrivals: List[int]) -> bool:
@@ -831,29 +910,26 @@ class FlowNetwork:
         """
         caps = self._flow_cap
         capacities = self._capacities
-        trial = None
+        used = self._cap_used
+        slot_res = self._slot_res
+        # The batch's consumption, per touched capacity, committed to
+        # `_cap_used` only once every flow of the batch fits.
+        trial: Dict[int, float] = {}
         for index in arrivals:
             rate = caps[index]
             if not math.isfinite(rate):
                 return False
-            for k in range(MAX_RES_PER_FLOW):
-                res = self._res[index, k]
-                if res < 0:
-                    break
-                if trial is None:
-                    trial = self._cap_used.copy()
-                if trial[res] + rate > capacities[res] * _FAST_PATH_HEADROOM:
+            res = slot_res[index]
+            for r in res:
+                if trial.get(r, used[r]) + rate \
+                        > capacities[r] * _FAST_PATH_HEADROOM:
                     return False
-            if trial is not None:
-                for k in range(MAX_RES_PER_FLOW):
-                    res = self._res[index, k]
-                    if res < 0:
-                        break
-                    trial[res] += rate
+            for r in res:
+                trial[r] = trial.get(r, used[r]) + rate
         for index in arrivals:
             self._rate[index] = caps[index]
-        if trial is not None:
-            self._cap_used = trial
+        for r, value in trial.items():
+            used[r] = value
         return True
 
     # -- the completion tick -------------------------------------------- #
@@ -861,15 +937,13 @@ class FlowNetwork:
         """Re-arm the completion tick from the freshly advanced flows.
 
         The per-component next-completion targets (see
-        :meth:`component_targets`) merge through one vectorised min: the
-        minimum over per-component minima is the global minimum,
-        bit-for-bit, so a single pass over the packed active slots feeds
-        the tick for both solvers identically.
+        :meth:`component_targets`) merge through one min over the packed
+        active slots: the minimum over per-component minima is the
+        global minimum, bit-for-bit, so a single pass feeds the tick for
+        both solvers identically.
         """
-        idx = self._active_indices()
-        with np.errstate(divide="ignore"):
-            finish = self._remaining[idx] / self._rate[idx]
-        self._arm_tick(max(float(finish.min()), 0.0))
+        t_next = self._pass.next_finish(self, self._active_indices())
+        self._arm_tick(max(t_next, 0.0))
 
     def _arm_tick(self, t_next: float) -> None:
         """Point the completion tick at ``now + t_next``.
@@ -896,7 +970,7 @@ class FlowNetwork:
         # entry pairs with a callback at exactly its time, and earlier
         # callbacks have already popped every earlier entry.
         heapq.heappop(self._tick_heap)
-        if not self._active_set or not math.isfinite(self._tick_target):
+        if not self._nactive or not math.isfinite(self._tick_target):
             return
         if self.sim.now == self._tick_target:
             self._recompute()
@@ -907,42 +981,24 @@ class FlowNetwork:
             self.sim.call_at(self._tick_target, self._on_completion_tick,
                              priority=PRIORITY_LATE)
 
-    def _complete_finished(self) -> bool:
-        # A flow is done when its remaining volume is within tolerance: an
-        # exact epsilon plus the completion-slack fraction of the time it
-        # has already been running (bounded relative timing error; batches
-        # near-simultaneous completions into one recomputation).
-        if not self._active_set:
-            return False
-        idx = self._active_indices()
-        now = self.sim.now
-        tol_seconds = self.completion_slack * (now - self._start[idx]) \
-            + _REL_EPS
-        tol = self._rate[idx] * tol_seconds + 1e-6
-        done = self._remaining[idx] <= tol
-        if not done.any():
-            return False
-        done_idx = idx[done]
+    def _complete(self, finished: np.ndarray, now: float) -> None:
+        """Release the finished slots and fire their flows' events."""
         # Account the short-cut remainder as moved.
-        self.total_bytes_moved += float(self._remaining[done_idx].sum())
-        for index in done_idx:
+        self.total_bytes_moved += float(self._remaining[finished].sum())
+        for index in finished.tolist():
             flow = self._flows[index]
-            self._release_slot(int(index))
+            self._release_slot(index)
             if flow is None:
                 continue
             flow.end_time = now
             self.completed_flows += 1
             flow.event.succeed(flow)
-        return True
 
-    def _maxmin_rates(self, idx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Max-min fair rates (with per-flow caps) for the given slots.
-
-        Returns ``(rates, cap_used)`` where ``cap_used`` is the
-        full-width per-capacity consumption of the solved flows; the
-        caller assigns it wholesale (global solve) or masked to the
-        component's resources (component solve) — entries of untouched
-        capacities read 0.0 either way.
+    def _maxmin_rates(self, idx: np.ndarray, whole: bool) -> None:
+        """Assign max-min fair rates (with per-flow caps) to the slots
+        ``idx`` and refresh ``_cap_used`` for the capacities they touch
+        (for every capacity when ``whole``: ``idx`` is every active
+        slot).
 
         Each round computes every unfrozen flow's *candidate* rate — the
         minimum of its resources' fair shares and its own cap — and
@@ -965,18 +1021,10 @@ class FlowNetwork:
         solve over the whole network.
 
         With ``kernel="compiled"`` (the default when a C compiler is
-        found) the whole solve — class uniquing, freeze rounds, per-flow
+        found) the whole solve — class numbering, freeze rounds, per-flow
         scatter — runs in the C kernel (:mod:`repro.des.kernels`), which
         replicates :func:`~repro.des.kernels.maxmin_class_solve_np`'s
         floating-point operation order exactly and is therefore
         bit-identical to ``kernel="python"`` at *any* slack.
         """
-        kern = self._kernel_impl
-        if kern is not None:
-            self._stat_kernel_solves += 1
-            return kern.solve(self._slot_class[idx], self._class_res,
-                              self._class_cap, self._capacities,
-                              self.fairness_slack)
-        return maxmin_class_solve_np(
-            self._slot_class[idx], self._class_res, self._class_cap,
-            self._capacities, self.fairness_slack)
+        self._pass.solve(self, idx, whole)

@@ -318,7 +318,15 @@ class Simulator:
             self._running = False
 
     def run_until_complete(self, process: "Event") -> Any:
-        """Run until ``process`` (or any event) completes; return its value."""
+        """Run until ``process`` (or any event) completes; return its value.
+
+        An event that is already processed returns its value (or raises
+        its exception) at once: its callbacks have run and never run
+        again, so waiting for them would step the queue until it ran
+        dry, or forever behind a perpetual process.
+        """
+        if process.processed:
+            return process.value
         finished = []
         process.callbacks.append(finished.append)
         while not finished:

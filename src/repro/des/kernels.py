@@ -5,14 +5,21 @@ storms reach ~10⁵ concurrent flows: the numpy flow-class solver pays a
 handful of O(F) vectorised passes *per freeze round*, which flattens
 out around 10⁴ flows. This module holds both implementations of the
 per-component solve — capacity residuals, bottleneck selection, grant
-scatter — selected with ``REPRO_KERNEL``:
+scatter — and of the pass each recompute makes over the active flows
+(advance them, flag the finished ones, find the next completion),
+selected with ``REPRO_KERNEL``:
 
-- ``compiled``: a C translation of the flow-class water-filling rounds,
-  built on first use with the system C compiler into a content-addressed
-  shared library (``~/.cache/repro/kernels``, override with
-  ``REPRO_KERNEL_CACHE``) and loaded through :mod:`ctypes`. A library
-  already in that cache loads without a compiler.
-- ``python``: the numpy solve :func:`maxmin_class_solve_np`, with no
+- ``compiled``: a C translation of the flow-class water-filling rounds
+  and of the per-recompute pass, built on first use with the system C
+  compiler into a content-addressed shared library
+  (``~/.cache/repro/kernels``, override with ``REPRO_KERNEL_CACHE``)
+  and loaded through :mod:`ctypes`, all three functions at once with
+  the probe. A library already in that cache loads without a compiler.
+  The functions take raw addresses, which
+  :class:`~repro.des.bandwidth.FlowNetwork` pins per array until it
+  reallocates one.
+- ``python``: the numpy statements :func:`maxmin_class_solve_np`,
+  :func:`advance_finish_np` and :func:`next_finish_np`, with no
   dependencies beyond numpy.
 
 The default is ``compiled`` when the C kernel loads (probed once per
@@ -24,23 +31,41 @@ several times slower.
 Bit-identity contract
 ---------------------
 
-The compiled kernel reproduces the numpy solve *bit for bit*, not just
-to tolerance: every floating-point operation happens on the same values
-in the same order (IEEE-754 doubles, round-to-nearest), in particular
+The compiled kernel reproduces the numpy statements *bit for bit*, not
+just to tolerance: every floating-point operation happens on the same
+values in the same order (IEEE-754 doubles, round-to-nearest, no fused
+multiply-add), in particular
 
 - per-resource occupancy counts are exact small-integer sums, so their
   accumulation order is free;
 - candidate rates are ``min(min_k share[res_k], cap)`` with divisions
-  on identical operands;
+  on identical operands, and the round's bottleneck is their minimum,
+  which no order changes;
 - the capacity consumed by a freeze batch is accumulated **per flow in
-  ascending slot order** (the C side merges the frozen classes' member
-  lists and sorts), exactly like the numpy scatter, then subtracted
-  from the residuals in one elementwise pass.
+  ascending slot order**, exactly like the numpy scatter, then
+  subtracted from the residuals in one elementwise pass.
+
+Two things the numpy solve does not do are therefore free. The C kernel
+numbers the classes present in *first-appearance* order (numpy's
+``np.unique`` numbers them ascending by id) through a caller-owned
+scratch map, and compacts the capacities they touch through a second
+one, so a solve costs O(flows it solves), not O(class table +
+capacities). How a round scatters its consumption follows one rule:
+when the round freezes at least 1/8 of the solve's flows it scans every
+flow in slot order, skipping the unfrozen; otherwise it merges the
+frozen classes' ascending member lists and sorts them (one class needs
+no sort). Both visit the frozen flows in the same ascending order. The
+per-recompute pass computes ``moved``, the clipped remainder, the
+completion tolerance and the quotient minimum with the numpy
+statements' operations; the sums over moved bytes and completed
+remainders stay in numpy (pairwise summation), so
+``total_bytes_moved`` is identical too.
 
 ``tests/test_kernel_equivalence.py`` asserts equality with
 ``np.ndarray.tobytes()`` on randomized storms, at ``fairness_slack=0``
-and above, so either kernel can serve any cached sweep — the kernel
-name is still folded into cache keys as a guard.
+and above, on each scatter path, and on the per-recompute pass, so
+either kernel can serve any cached sweep — the kernel name is still
+folded into cache keys as a guard.
 """
 
 from __future__ import annotations
@@ -62,10 +87,12 @@ __all__ = [
     "KERNEL_COMPILED",
     "KERNEL_PYTHON",
     "MaxminKernel",
+    "advance_finish_np",
     "compiled_kernel",
     "kernel_status",
     "maxmin_class_solve_np",
     "maxmin_class_solve_py",
+    "next_finish_np",
     "resolve_kernel",
 ]
 
@@ -88,9 +115,10 @@ def resolve_kernel(kernel: Optional[str]) -> str:
 # --------------------------------------------------------------------- #
 # the C backend
 # --------------------------------------------------------------------- #
-# A direct translation of maxmin_class_solve_np's flow-class rounds.
-# Comments reference the numpy statements being reproduced; the order of
-# every floating-point operation matches (see module docstring).
+# A direct translation of maxmin_class_solve_np's flow-class rounds, plus
+# the per-recompute pass over the active flows. Comments reference the
+# numpy statements being reproduced; the order of every floating-point
+# operation matches (see module docstring).
 _C_SOURCE = r"""
 #include <stdint.h>
 #include <stdlib.h>
@@ -104,80 +132,98 @@ static int cmp_i64(const void *a, const void *b) {
 
 /* Max-min fair rates over flow equivalence classes.
  *
- * flow_class[f] is the interned class id of the f-th solved flow, in
- * ascending slot order; class_res/class_cap are the full interned class
- * tables (rows indexed by class id, -1-padded resource lists). Outputs:
- * rate_out[f] (floored at 1e-12) and cap_used_out[r] = capacity -
+ * The f-th solved flow sits in slot slots[f] (ascending) and its
+ * interned class id is slot_class[slots[f]]; class_res/class_cap are
+ * the full interned class tables (rows indexed by class id, -1-padded
+ * resource lists). The classes present are numbered in first-appearance
+ * order through class_map, and the capacities they touch compacted
+ * through res_map: both are caller-owned scratch maps (ctypes drops the
+ * GIL, so no static buffer) that must read all -1 on entry and read all
+ * -1 again on return. Outputs: rate_out[slots[f]] (floored at 1e-12)
+ * and, for each touched capacity r only, cap_used_out[r] = capacity -
  * residual. Returns the number of freeze rounds, or -1 on allocation
  * failure. */
 int64_t repro_maxmin_class_solve(
-    int64_t nflows, const int64_t *flow_class,
-    int64_t nclasses_total, int64_t kmax,
+    int64_t nflows, const int64_t *slots, const int64_t *slot_class,
+    int64_t kmax,
     const int64_t *class_res, const double *class_cap,
-    int64_t nres, const double *capacities,
-    double fairness_slack,
+    const double *capacities, double fairness_slack,
+    int64_t *class_map, int64_t *res_map,
     double *rate_out, double *cap_used_out)
 {
-    int64_t f, c, k, r, id, ui;
-    int64_t nclasses = 0, rounds = 0;
+    int64_t f, c, k, r, j, id, ui;
+    int64_t nclasses = 0, ntouched = 0, rounds = 0;
     /* batch = 1.0 + self.fairness_slack + 1e-12 */
     const double batch = 1.0 + fairness_slack + 1e-12;
 
-    int64_t *cmap = NULL, *cres = NULL, *inverse = NULL, *members = NULL;
-    int64_t *cstart = NULL, *cfill = NULL, *unf = NULL, *newly = NULL;
-    int64_t *buf = NULL;
+    int64_t *present = NULL, *inverse = NULL, *touched = NULL;
+    int64_t *cres = NULL, *members = NULL, *cstart = NULL, *cfill = NULL;
+    int64_t *unf = NULL, *newly = NULL, *buf = NULL, *cround = NULL;
     double *ccap = NULL, *cmult = NULL, *crate = NULL, *cand = NULL;
     double *counts = NULL, *cap_rem = NULL, *consumed = NULL;
 
-    for (r = 0; r < nres; r++)
-        cap_used_out[r] = 0.0;
     if (nflows == 0)
         return 0;
 
-    /* -- intern the classes present in this solve ---------------------- */
-    cmap = (int64_t *)malloc((size_t)nclasses_total * sizeof(int64_t));
-    if (!cmap) goto fail;
-    for (id = 0; id < nclasses_total; id++)
-        cmap[id] = -1;
-    for (f = 0; f < nflows; f++)
-        cmap[flow_class[f]] = -2;
-    /* present classes in ascending id order, as np.unique returns them */
-    for (id = 0; id < nclasses_total; id++)
-        if (cmap[id] == -2)
-            cmap[id] = nclasses++;
+    /* -- number the classes present, in first-appearance order --------- */
+    present = (int64_t *)malloc((size_t)nflows * sizeof(int64_t));
+    inverse = (int64_t *)malloc((size_t)nflows * sizeof(int64_t));
+    if (!present || !inverse) goto fail;
+    for (f = 0; f < nflows; f++) {
+        id = slot_class[slots[f]];
+        c = class_map[id];
+        if (c < 0) {
+            c = class_map[id] = nclasses;
+            present[nclasses++] = id;
+        }
+        inverse[f] = c;
+    }
 
-    cres = (int64_t *)malloc((size_t)(nclasses * kmax) * sizeof(int64_t));
+    touched = (int64_t *)malloc((size_t)(nclasses * kmax + 1)
+                                * sizeof(int64_t));
+    cres = (int64_t *)malloc((size_t)(nclasses * kmax + 1)
+                             * sizeof(int64_t));
     ccap = (double *)malloc((size_t)nclasses * sizeof(double));
-    cmult = (double *)malloc((size_t)nclasses * sizeof(double));
+    cmult = (double *)calloc((size_t)nclasses, sizeof(double));
     crate = (double *)calloc((size_t)nclasses, sizeof(double));
     cand = (double *)malloc((size_t)nclasses * sizeof(double));
-    inverse = (int64_t *)malloc((size_t)nflows * sizeof(int64_t));
     members = (int64_t *)malloc((size_t)nflows * sizeof(int64_t));
     buf = (int64_t *)malloc((size_t)nflows * sizeof(int64_t));
     cstart = (int64_t *)calloc((size_t)(nclasses + 1), sizeof(int64_t));
     cfill = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
     unf = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
     newly = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
-    counts = (double *)malloc((size_t)nres * sizeof(double));
-    cap_rem = (double *)malloc((size_t)nres * sizeof(double));
-    consumed = (double *)malloc((size_t)nres * sizeof(double));
-    if (!cres || !ccap || !cmult || !crate || !cand || !inverse ||
-        !members || !buf || !cstart || !cfill || !unf || !newly ||
-        !counts || !cap_rem || !consumed)
+    cround = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
+    if (!touched || !cres || !ccap || !cmult || !crate || !cand ||
+        !members || !buf || !cstart || !cfill || !unf || !newly || !cround)
         goto fail;
 
-    for (id = 0; id < nclasses_total; id++) {
-        c = cmap[id];
-        if (c < 0)
-            continue;
-        for (k = 0; k < kmax; k++)
-            cres[c * kmax + k] = class_res[id * kmax + k];
+    /* -- compact the class rows onto the touched capacities ------------ */
+    for (c = 0; c < nclasses; c++) {
+        id = present[c];
+        for (k = 0; k < kmax; k++) {
+            r = class_res[id * kmax + k];
+            if (r < 0)
+                break;
+            j = res_map[r];
+            if (j < 0) {
+                j = res_map[r] = ntouched;
+                touched[ntouched++] = r;
+            }
+            cres[c * kmax + k] = j;
+        }
+        for (; k < kmax; k++)
+            cres[c * kmax + k] = -1;
         ccap[c] = class_cap[id];
-        cmult[c] = 0.0;
+        cround[c] = -1;
     }
+    counts = (double *)malloc((size_t)ntouched * sizeof(double) + 1);
+    cap_rem = (double *)malloc((size_t)ntouched * sizeof(double) + 1);
+    consumed = (double *)malloc((size_t)ntouched * sizeof(double) + 1);
+    if (!counts || !cap_rem || !consumed) goto fail;
+
     for (f = 0; f < nflows; f++) {
-        c = cmap[flow_class[f]];
-        inverse[f] = c;
+        c = inverse[f];
         cmult[c] += 1.0;          /* exact: multiplicities are integers */
         cstart[c + 1] += 1;
     }
@@ -190,28 +236,30 @@ int64_t repro_maxmin_class_solve(
         members[cfill[inverse[f]]++] = f;
 
     for (c = 0; c < nclasses; c++)
-        unf[c] = c;               /* unfrozen, ascending present order */
-    for (r = 0; r < nres; r++)
-        cap_rem[r] = capacities[r];
+        unf[c] = c;               /* unfrozen, in numbering order */
+    for (j = 0; j < ntouched; j++)
+        cap_rem[j] = capacities[touched[j]];
 
-    /* -- the freeze rounds: for _ in range(nclasses + nres + 1) -------- */
+    /* -- the freeze rounds: each freezes at least the bottleneck class,
+     * so neither this bound nor the numpy loop's (nclasses + nres + 1)
+     * is ever reached ------------------------------------------------ */
     {
         int64_t n_unf = nclasses;
-        int64_t iter, max_iter = nclasses + nres + 1;
+        int64_t iter, max_iter = nclasses + ntouched + 1;
         for (iter = 0; iter < max_iter; iter++) {
             int64_t have_res = 0, n_new = 0, m = 0, wi = 0, i;
             double s_star = INFINITY, thresh;
             if (n_unf == 0)
                 break;
             /* occupancy counts over unfrozen classes (exact int sums) */
-            memset(counts, 0, (size_t)nres * sizeof(double));
+            memset(counts, 0, (size_t)ntouched * sizeof(double));
             for (ui = 0; ui < n_unf; ui++) {
                 c = unf[ui];
                 for (k = 0; k < kmax; k++) {
-                    r = cres[c * kmax + k];
-                    if (r < 0)
+                    j = cres[c * kmax + k];
+                    if (j < 0)
                         break;
-                    counts[r] += cmult[c];
+                    counts[j] += cmult[c];
                     have_res = 1;
                 }
             }
@@ -230,13 +278,13 @@ int64_t repro_maxmin_class_solve(
                 c = unf[ui];
                 for (k = 0; k < kmax; k++) {
                     double sh, rem;
-                    r = cres[c * kmax + k];
-                    if (r < 0)
+                    j = cres[c * kmax + k];
+                    if (j < 0)
                         break;
-                    rem = cap_rem[r];
+                    rem = cap_rem[j];
                     if (rem < 0.0)
                         rem = 0.0;
-                    sh = rem / counts[r];
+                    sh = rem / counts[j];
                     if (sh < cd)
                         cd = sh;
                 }
@@ -252,35 +300,57 @@ int64_t repro_maxmin_class_solve(
                 c = unf[ui];
                 if (cand[c] <= thresh) {
                     crate[c] = cand[c];
+                    cround[c] = rounds;
                     newly[n_new++] = c;
+                    m += cstart[c + 1] - cstart[c];
                 } else {
                     unf[wi++] = c;  /* stable compaction keeps order */
                 }
             }
             n_unf = wi;
             /* scatter consumption per flow in ascending slot order, as
-             * np.add.at over the frozen flows does, then subtract */
-            for (i = 0; i < n_new; i++) {
-                c = newly[i];
-                for (f = cstart[c]; f < cstart[c + 1]; f++)
-                    buf[m++] = members[f];
-            }
-            if (n_new > 1)
-                qsort(buf, (size_t)m, sizeof(int64_t), cmp_i64);
-            memset(consumed, 0, (size_t)nres * sizeof(double));
-            for (i = 0; i < m; i++) {
-                double rr;
-                c = inverse[buf[i]];
-                rr = crate[c];
-                for (k = 0; k < kmax; k++) {
-                    r = cres[c * kmax + k];
-                    if (r < 0)
-                        break;
-                    consumed[r] += rr;
+             * np.add.at over the frozen flows does, then subtract: a
+             * round that freezes >= 1/8 of the flows scans them all in
+             * order, a smaller one merges its classes' member lists and
+             * sorts them (one class's list is already in order) */
+            memset(consumed, 0, (size_t)ntouched * sizeof(double));
+            if (n_new > 1 && 8 * m >= nflows) {
+                for (f = 0; f < nflows; f++) {
+                    double rr;
+                    c = inverse[f];
+                    if (cround[c] != rounds)
+                        continue;
+                    rr = crate[c];
+                    for (k = 0; k < kmax; k++) {
+                        j = cres[c * kmax + k];
+                        if (j < 0)
+                            break;
+                        consumed[j] += rr;
+                    }
+                }
+            } else {
+                m = 0;
+                for (i = 0; i < n_new; i++) {
+                    c = newly[i];
+                    for (f = cstart[c]; f < cstart[c + 1]; f++)
+                        buf[m++] = members[f];
+                }
+                if (n_new > 1)
+                    qsort(buf, (size_t)m, sizeof(int64_t), cmp_i64);
+                for (i = 0; i < m; i++) {
+                    double rr;
+                    c = inverse[buf[i]];
+                    rr = crate[c];
+                    for (k = 0; k < kmax; k++) {
+                        j = cres[c * kmax + k];
+                        if (j < 0)
+                            break;
+                        consumed[j] += rr;
+                    }
                 }
             }
-            for (r = 0; r < nres; r++)
-                cap_rem[r] -= consumed[r];
+            for (j = 0; j < ntouched; j++)
+                cap_rem[j] -= consumed[j];
             rounds++;
         }
     }
@@ -288,25 +358,79 @@ int64_t repro_maxmin_class_solve(
     /* rate = max(crate[inverse], 1e-12); cap_used = capacities - cap_rem */
     for (f = 0; f < nflows; f++) {
         double rr = crate[inverse[f]];
-        rate_out[f] = rr > 1e-12 ? rr : 1e-12;
+        rate_out[slots[f]] = rr > 1e-12 ? rr : 1e-12;
     }
-    for (r = 0; r < nres; r++)
-        cap_used_out[r] = capacities[r] - cap_rem[r];
-
-    free(cmap); free(cres); free(ccap); free(cmult); free(crate);
-    free(cand); free(inverse); free(members); free(buf); free(cstart);
-    free(cfill); free(unf); free(newly); free(counts); free(cap_rem);
-    free(consumed);
-    return rounds;
+    for (j = 0; j < ntouched; j++)
+        cap_used_out[touched[j]] = capacities[touched[j]] - cap_rem[j];
+    goto done;
 
 fail:
-    free(cmap); free(cres); free(ccap); free(cmult); free(crate);
-    free(cand); free(inverse); free(members); free(buf); free(cstart);
-    free(cfill); free(unf); free(newly); free(counts); free(cap_rem);
-    free(consumed);
-    return -1;
+    rounds = -1;
+done:
+    /* hand the scratch maps back reading all -1 */
+    for (c = 0; c < nclasses; c++)
+        class_map[present[c]] = -1;
+    for (j = 0; j < ntouched; j++)
+        res_map[touched[j]] = -1;
+    free(present); free(inverse); free(touched); free(cres); free(ccap);
+    free(cmult); free(crate); free(cand); free(members); free(buf);
+    free(cstart); free(cfill); free(unf); free(newly); free(cround);
+    free(counts); free(cap_rem); free(consumed);
+    return rounds;
+}
+
+/* One pass over the active slots idx[0..n): advance each flow by dt
+ * (when dt > 0) and flag the finished ones, i.e. advance_finish_np:
+ *   moved = rate[idx] * dt; rem = remaining[idx] - moved;
+ *   np.clip(rem, 0.0, None); remaining[idx] = rem
+ *   tol = rate[idx] * (completion_slack * (now - start[idx]) + 1e-9) + 1e-6
+ *   done = remaining[idx] <= tol
+ * moved_out[i] is written only when dt > 0. Returns the number done. */
+int64_t repro_advance_finish(
+    int64_t n, const int64_t *idx, const double *rate, double *remaining,
+    const double *start, double dt, double now, double completion_slack,
+    double *moved_out, uint8_t *done_out)
+{
+    int64_t i, ndone = 0;
+    for (i = 0; i < n; i++) {
+        int64_t s = idx[i];
+        double rr = rate[s], rem = remaining[s], tol;
+        if (dt > 0.0) {
+            double mv = rr * dt;
+            rem = rem - mv;
+            if (rem < 0.0)
+                rem = 0.0;
+            remaining[s] = rem;
+            moved_out[i] = mv;
+        }
+        tol = rr * (completion_slack * (now - start[s]) + 1e-9) + 1e-6;
+        done_out[i] = rem <= tol;
+        ndone += done_out[i];
+    }
+    return ndone;
+}
+
+/* The next-completion delay over idx[0..n): np.min(remaining[idx] /
+ * rate[idx]), a NaN quotient propagating as np.min propagates it. */
+double repro_next_finish(int64_t n, const int64_t *idx,
+                         const double *remaining, const double *rate)
+{
+    int64_t i;
+    double best = INFINITY;
+    for (i = 0; i < n; i++) {
+        double q = remaining[idx[i]] / rate[idx[i]];
+        if (q != q)
+            return q;
+        if (q < best)
+            best = q;
+    }
+    return best;
 }
 """
+
+#: Compiler flags. No floating-point contraction: a fused multiply-add
+#: rounds once where the numpy statements round twice.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 
 
 def _find_compiler() -> Optional[str]:
@@ -322,12 +446,12 @@ def _find_compiler() -> Optional[str]:
 def _build_c_library() -> str:
     """Compile the kernel into a content-addressed ``.so``; return its path.
 
-    The library name embeds a hash of the C source, so editing the
-    kernel never reuses a stale binary, and a cached library needs no
+    The library name embeds a hash of the C source and the compiler
+    flags, so editing either never reuses a stale binary, and a cached library needs no
     compiler; concurrent builders (sweep worker processes) race benignly
     through an atomic ``os.replace``.
     """
-    digest = hashlib.blake2b(_C_SOURCE.encode("utf-8"),
+    digest = hashlib.blake2b(" ".join(_CFLAGS + (_C_SOURCE,)).encode("utf-8"),
                              digest_size=10).hexdigest()
     cache_dir = config.get("REPRO_KERNEL_CACHE")
     lib_path = os.path.join(cache_dir, f"maxmin_{digest}.so")
@@ -343,7 +467,7 @@ def _build_c_library() -> str:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(_C_SOURCE)
-        cmd = [cc, "-O2", "-shared", "-fPIC", "-o", tmp_lib, src_path]
+        cmd = [cc, *_CFLAGS, "-o", tmp_lib, src_path]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise SimulationError(
@@ -359,23 +483,39 @@ def _build_c_library() -> str:
     return lib_path
 
 
-_F64 = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
-_I64 = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+_I64 = ctypes.c_int64
+_DBL = ctypes.c_double
+_PTR = ctypes.c_void_p
+
+#: restype and argtypes of each exported C function. Arrays pass as raw
+#: addresses: an ``ndpointer`` argument check costs more than a small
+#: solve, so the callers check (or own) the arrays instead.
+_C_FUNCTIONS = {
+    "repro_maxmin_class_solve": (_I64, [
+        _I64, _PTR, _PTR, _I64,     # nflows, slots, slot_class, kmax
+        _PTR, _PTR,                 # class_res, class_cap
+        _PTR, _DBL,                 # capacities, fairness_slack
+        _PTR, _PTR,                 # class_map, res_map (scratch, all -1)
+        _PTR, _PTR]),               # rate_out, cap_used_out
+    "repro_advance_finish": (_I64, [
+        _I64, _PTR, _PTR, _PTR, _PTR,   # n, idx, rate, remaining, start
+        _DBL, _DBL, _DBL,               # dt, now, completion_slack
+        _PTR, _PTR]),                   # moved_out, done_out
+    "repro_next_finish": (_DBL, [
+        _I64, _PTR, _PTR, _PTR]),       # n, idx, remaining, rate
+}
 
 
-def _load_c_solver() -> Callable:
+def _load_c_functions() -> Tuple[Callable, ...]:
+    """The exported C functions, in :data:`_C_FUNCTIONS` order."""
     lib = ctypes.CDLL(_build_c_library())
-    fn = lib.repro_maxmin_class_solve
-    fn.restype = ctypes.c_int64
-    fn.argtypes = [
-        ctypes.c_int64, _I64,              # nflows, flow_class
-        ctypes.c_int64, ctypes.c_int64,    # nclasses_total, kmax
-        _I64, _F64,                        # class_res, class_cap
-        ctypes.c_int64, _F64,              # nres, capacities
-        ctypes.c_double,                   # fairness_slack
-        _F64, _F64,                        # rate_out, cap_used_out
-    ]
-    return fn
+    fns = []
+    for name, (restype, argtypes) in _C_FUNCTIONS.items():
+        fn = getattr(lib, name)
+        fn.restype = restype
+        fn.argtypes = argtypes
+        fns.append(fn)
+    return tuple(fns)
 
 
 # --------------------------------------------------------------------- #
@@ -456,56 +596,121 @@ def maxmin_class_solve_np(flow_class: np.ndarray, class_res: np.ndarray,
 
 
 # --------------------------------------------------------------------- #
+# the per-recompute pass over the active flows (numpy reference)
+# --------------------------------------------------------------------- #
+#: Exact part of the completion tolerance, in seconds of the flow's rate.
+_REL_EPS = 1e-9
+
+
+def advance_finish_np(idx: np.ndarray, rate: np.ndarray,
+                      remaining: np.ndarray, start: np.ndarray, dt: float,
+                      now: float, completion_slack: float
+                      ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+    """Advance the active slots ``idx`` by ``dt`` seconds and flag the
+    finished ones; ``remaining`` is updated in place.
+
+    A flow is done when its remaining volume is within tolerance: an
+    exact epsilon plus the ``completion_slack`` fraction of the time it
+    has already been running. Returns ``(moved, done)``: the bytes each
+    flow moved (``None`` unless ``dt > 0``) and the done mask. The
+    ``python`` kernel's pass, and the reference
+    :meth:`MaxminKernel.advance_finish` matches bit for bit.
+    """
+    moved = None
+    if dt > 0:
+        moved = rate[idx] * dt
+        rem = remaining[idx] - moved
+        np.clip(rem, 0.0, None, out=rem)
+        remaining[idx] = rem
+    tol_seconds = completion_slack * (now - start[idx]) + _REL_EPS
+    tol = rate[idx] * tol_seconds + 1e-6
+    return moved, remaining[idx] <= tol
+
+
+def next_finish_np(idx: np.ndarray, remaining: np.ndarray,
+                   rate: np.ndarray) -> float:
+    """Seconds until the first of the slots ``idx`` completes at its
+    current rate (the reference for :meth:`MaxminKernel.next_finish`)."""
+    with np.errstate(divide="ignore"):
+        finish = remaining[idx] / rate[idx]
+    return float(finish.min())
+
+
+# --------------------------------------------------------------------- #
 # the scalar spec (the C kernel's executable specification)
 # --------------------------------------------------------------------- #
 def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
                           class_cap: np.ndarray, capacities: np.ndarray,
                           fairness_slack: float, rate_out: np.ndarray,
-                          cap_used_out: np.ndarray) -> int:
+                          cap_used_out: np.ndarray, class_map: np.ndarray,
+                          res_map: np.ndarray) -> int:
     """Scalar-loop water-filling: the C kernel's algorithm in Python.
 
     Never on a simulation path: it is the executable specification the
     equivalence tests diff the C kernel against bit-for-bit, written
     statement for statement like the C source (arrays and scalars only)
-    so a divergence points at one line.
+    so a divergence points at one line; only the indirection differs:
+    the C kernel reads flow ``f``'s class as ``slot_class[slots[f]]``
+    and writes its rate to ``rate_out[slots[f]]``, so a network solves
+    its active slots in place (:meth:`MaxminKernel.solve` passes
+    ``slots = 0..n-1``). ``class_map`` and ``res_map`` are the scratch
+    maps (all -1 on entry and on return); ``cap_used_out`` is written
+    for the touched capacities only.
     """
     nflows = flow_class.shape[0]
-    nct = class_cap.shape[0]
     kmax = class_res.shape[1]
-    nres = capacities.shape[0]
     batch = 1.0 + fairness_slack + 1e-12
 
-    for r in range(nres):
-        cap_used_out[r] = 0.0
     if nflows == 0:
         return 0
 
-    cmap = np.full(nct, -1, dtype=np.int64)
-    for f in range(nflows):
-        cmap[flow_class[f]] = -2
+    # number the classes present, in first-appearance order
+    present = np.empty(nflows, dtype=np.int64)
+    inverse = np.empty(nflows, dtype=np.int64)
     nclasses = 0
-    for cid in range(nct):
-        if cmap[cid] == -2:
-            cmap[cid] = nclasses
+    for f in range(nflows):
+        cid = flow_class[f]
+        c = class_map[cid]
+        if c < 0:
+            c = nclasses
+            class_map[cid] = c
+            present[nclasses] = cid
             nclasses += 1
+        inverse[f] = c
 
+    # compact the class rows onto the touched capacities
+    touched = np.empty(nclasses * kmax, dtype=np.int64)
+    ntouched = 0
     cres = np.empty((nclasses, kmax), dtype=np.int64)
     ccap = np.empty(nclasses, dtype=np.float64)
+    cround = np.empty(nclasses, dtype=np.int64)
+    for c in range(nclasses):
+        cid = present[c]
+        k = 0
+        while k < kmax:
+            r = class_res[cid, k]
+            if r < 0:
+                break
+            j = res_map[r]
+            if j < 0:
+                j = ntouched
+                res_map[r] = j
+                touched[ntouched] = r
+                ntouched += 1
+            cres[c, k] = j
+            k += 1
+        while k < kmax:
+            cres[c, k] = -1
+            k += 1
+        ccap[c] = class_cap[cid]
+        cround[c] = -1
+
     cmult = np.zeros(nclasses, dtype=np.float64)
     crate = np.zeros(nclasses, dtype=np.float64)
     cand = np.zeros(nclasses, dtype=np.float64)
-    inverse = np.empty(nflows, dtype=np.int64)
     cstart = np.zeros(nclasses + 1, dtype=np.int64)
-    for cid in range(nct):
-        c = cmap[cid]
-        if c < 0:
-            continue
-        for k in range(kmax):
-            cres[c, k] = class_res[cid, k]
-        ccap[c] = class_cap[cid]
     for f in range(nflows):
-        c = cmap[flow_class[f]]
-        inverse[f] = c
+        c = inverse[f]
         cmult[c] += 1.0
         cstart[c + 1] += 1
     for c in range(nclasses):
@@ -519,26 +724,28 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
 
     unf = np.arange(nclasses, dtype=np.int64)
     n_unf = nclasses
-    cap_rem = capacities.astype(np.float64).copy()
-    counts = np.zeros(nres, dtype=np.float64)
-    consumed = np.zeros(nres, dtype=np.float64)
+    cap_rem = np.empty(ntouched, dtype=np.float64)
+    for j in range(ntouched):
+        cap_rem[j] = capacities[touched[j]]
+    counts = np.zeros(ntouched, dtype=np.float64)
+    consumed = np.zeros(ntouched, dtype=np.float64)
     newly = np.empty(nclasses, dtype=np.int64)
     buf = np.empty(nflows, dtype=np.int64)
     rounds = 0
 
-    for _ in range(nclasses + nres + 1):
+    for _ in range(nclasses + ntouched + 1):
         if n_unf == 0:
             break
         have_res = False
-        for r in range(nres):
-            counts[r] = 0.0
+        for j in range(ntouched):
+            counts[j] = 0.0
         for ui in range(n_unf):
             c = unf[ui]
             for k in range(kmax):
-                r = cres[c, k]
-                if r < 0:
+                j = cres[c, k]
+                if j < 0:
                     break
-                counts[r] += cmult[c]
+                counts[j] += cmult[c]
                 have_res = True
         if not have_res:
             for ui in range(n_unf):
@@ -550,13 +757,13 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
             c = unf[ui]
             cd = np.inf
             for k in range(kmax):
-                r = cres[c, k]
-                if r < 0:
+                j = cres[c, k]
+                if j < 0:
                     break
-                rem = cap_rem[r]
+                rem = cap_rem[j]
                 if rem < 0.0:
                     rem = 0.0
-                sh = rem / counts[r]
+                sh = rem / counts[j]
                 if sh < cd:
                     cd = sh
             if ccap[c] < cd:
@@ -566,70 +773,154 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
                 s_star = cd
         thresh = s_star * batch
         n_new = 0
+        m = 0
         wi = 0
         for ui in range(n_unf):
             c = unf[ui]
             if cand[c] <= thresh:
                 crate[c] = cand[c]
+                cround[c] = rounds
                 newly[n_new] = c
                 n_new += 1
+                m += cstart[c + 1] - cstart[c]
             else:
                 unf[wi] = c
                 wi += 1
         n_unf = wi
-        m = 0
-        for i in range(n_new):
-            c = newly[i]
-            for p in range(cstart[c], cstart[c + 1]):
-                buf[m] = members[p]
-                m += 1
-        frozen_flows = np.sort(buf[:m]) if n_new > 1 else buf[:m]
-        for r in range(nres):
-            consumed[r] = 0.0
-        for i in range(m):
-            c = inverse[frozen_flows[i]]
+        for j in range(ntouched):
+            consumed[j] = 0.0
+        if n_new > 1 and 8 * m >= nflows:
+            frozen_flows = [f for f in range(nflows)
+                            if cround[inverse[f]] == rounds]
+        else:
+            m = 0
+            for i in range(n_new):
+                c = newly[i]
+                for p in range(cstart[c], cstart[c + 1]):
+                    buf[m] = members[p]
+                    m += 1
+            frozen_flows = np.sort(buf[:m]) if n_new > 1 else buf[:m]
+        for f in frozen_flows:
+            c = inverse[f]
             rr = crate[c]
             for k in range(kmax):
-                r = cres[c, k]
-                if r < 0:
+                j = cres[c, k]
+                if j < 0:
                     break
-                consumed[r] += rr
-        for r in range(nres):
-            cap_rem[r] -= consumed[r]
+                consumed[j] += rr
+        for j in range(ntouched):
+            cap_rem[j] -= consumed[j]
         rounds += 1
 
     for f in range(nflows):
         rr = crate[inverse[f]]
         rate_out[f] = rr if rr > 1e-12 else 1e-12
-    for r in range(nres):
-        cap_used_out[r] = capacities[r] - cap_rem[r]
+    for j in range(ntouched):
+        cap_used_out[touched[j]] = capacities[touched[j]] - cap_rem[j]
+    for c in range(nclasses):
+        class_map[present[c]] = -1
+    for j in range(ntouched):
+        res_map[touched[j]] = -1
     return rounds
 
 
+def _checked(*pairs: Tuple[np.ndarray, type]) -> None:
+    """The arrays handed to C must have the dtype it reads, contiguous."""
+    for arr, dtype in pairs:
+        if arr.dtype != dtype or not arr.flags.c_contiguous:
+            raise SimulationError(
+                f"compiled kernel needs C-contiguous {np.dtype(dtype)} "
+                f"arrays, got {arr.dtype} (contiguous: "
+                f"{arr.flags.c_contiguous})")
+
+
+def _in_range(index: np.ndarray, low: int, size: int, what: str) -> None:
+    """Every entry of ``index`` must lie in ``[low, size)``."""
+    if index.size and (index.min() < low or index.max() >= size):
+        raise SimulationError(
+            f"compiled kernel: {what} out of range for {size} entries")
+
+
 class MaxminKernel:
-    """Handle on the loaded C kernel; ``solve`` takes the arguments of
-    :func:`maxmin_class_solve_np` and returns bit-identical results."""
+    """Handle on the loaded C library.
 
-    __slots__ = ("_fn",)
+    ``solve``, ``advance_finish`` and ``next_finish`` take arrays, check
+    them and return what :func:`maxmin_class_solve_np`,
+    :func:`advance_finish_np` and :func:`next_finish_np` return, bit for
+    bit. ``solve_fn``, ``advance_fn`` and ``next_finish_fn`` are the raw
+    ctypes functions :class:`~repro.des.bandwidth.FlowNetwork` calls with
+    the addresses of arrays it owns.
+    """
 
-    def __init__(self, fn: Callable) -> None:
-        self._fn = fn
+    __slots__ = ("solve_fn", "advance_fn", "next_finish_fn")
+
+    def __init__(self, solve_fn: Callable, advance_fn: Callable,
+                 next_finish_fn: Callable) -> None:
+        self.solve_fn = solve_fn
+        self.advance_fn = advance_fn
+        self.next_finish_fn = next_finish_fn
 
     def solve(self, flow_class: np.ndarray, class_res: np.ndarray,
               class_cap: np.ndarray, capacities: np.ndarray,
-              fairness_slack: float) -> Tuple[np.ndarray, np.ndarray]:
+              fairness_slack: float, class_map: Optional[np.ndarray] = None,
+              res_map: Optional[np.ndarray] = None
+              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Water-filling rates and per-capacity consumption; the scratch
+        maps (all -1, sized like ``class_cap`` and ``capacities``) are
+        allocated when not given."""
+        if class_map is None:
+            class_map = np.full(class_cap.size, -1, dtype=np.int64)
+        if res_map is None:
+            res_map = np.full(capacities.size, -1, dtype=np.int64)
+        _checked((flow_class, np.int64), (class_res, np.int64),
+                 (class_cap, np.float64), (capacities, np.float64),
+                 (class_map, np.int64), (res_map, np.int64))
+        _in_range(flow_class, 0, min(class_cap.size, class_map.size,
+                                     class_res.shape[0]), "class id")
+        # -1 pads a class's resource list
+        _in_range(class_res, -1, min(capacities.size, res_map.size),
+                  "capacity index")
+        slots = np.arange(flow_class.size, dtype=np.int64)
         rate = np.empty(flow_class.size, dtype=np.float64)
-        cap_used = np.empty(capacities.size, dtype=np.float64)
-        rounds = self._fn(
-            flow_class.size, flow_class, class_cap.size,
-            class_res.shape[1], class_res, class_cap,
-            capacities.size, capacities, float(fairness_slack),
-            rate, cap_used)
+        cap_used = np.zeros(capacities.size, dtype=np.float64)
+        rounds = self.solve_fn(
+            flow_class.size, slots.ctypes.data, flow_class.ctypes.data,
+            class_res.shape[1],
+            class_res.ctypes.data, class_cap.ctypes.data,
+            capacities.ctypes.data, float(fairness_slack),
+            class_map.ctypes.data, res_map.ctypes.data,
+            rate.ctypes.data, cap_used.ctypes.data)
         if rounds < 0:
             raise SimulationError(
                 f"compiled maxmin kernel ran out of memory for "
                 f"{flow_class.size} flows")
         return rate, cap_used
+
+    def advance_finish(self, idx: np.ndarray, rate: np.ndarray,
+                       remaining: np.ndarray, start: np.ndarray, dt: float,
+                       now: float, completion_slack: float
+                       ) -> Tuple[Optional[np.ndarray], np.ndarray]:
+        """:func:`advance_finish_np` in one C pass."""
+        _checked((idx, np.int64), (rate, np.float64),
+                 (remaining, np.float64), (start, np.float64))
+        _in_range(idx, 0, min(rate.size, remaining.size, start.size),
+                  "slot")
+        moved = np.empty(idx.size, dtype=np.float64)
+        done = np.empty(idx.size, dtype=bool)
+        self.advance_fn(idx.size, idx.ctypes.data, rate.ctypes.data,
+                        remaining.ctypes.data, start.ctypes.data,
+                        float(dt), float(now), float(completion_slack),
+                        moved.ctypes.data, done.ctypes.data)
+        return (moved if dt > 0 else None), done
+
+    def next_finish(self, idx: np.ndarray, remaining: np.ndarray,
+                    rate: np.ndarray) -> float:
+        """:func:`next_finish_np` in one C pass."""
+        _checked((idx, np.int64), (remaining, np.float64),
+                 (rate, np.float64))
+        _in_range(idx, 0, min(rate.size, remaining.size), "slot")
+        return self.next_finish_fn(idx.size, idx.ctypes.data,
+                                   remaining.ctypes.data, rate.ctypes.data)
 
 
 # Probe memo: (kernel-or-None, error-message-or-None); probing compiles,
@@ -641,7 +932,7 @@ def _probe() -> Tuple[Optional[MaxminKernel], Optional[str]]:
     global _PROBE
     if _PROBE is None:
         try:
-            _PROBE = (MaxminKernel(_load_c_solver()), None)
+            _PROBE = (MaxminKernel(*_load_c_functions()), None)
         except Exception as exc:  # compiler missing, cc error, bad cache dir
             _PROBE = (None, str(exc))
     return _PROBE

@@ -151,6 +151,35 @@ class TestValidation:
         with pytest.raises(SimulationError):
             net.transfer([link], -5.0)
 
+    @pytest.mark.parametrize("nbytes,rate_cap", [
+        pytest.param(math.nan, math.inf, id="nan-bytes"),
+        pytest.param(math.inf, math.inf, id="inf-bytes"),
+        pytest.param(-math.inf, math.inf, id="minus-inf-bytes"),
+        pytest.param(10.0, math.nan, id="nan-rate-cap"),
+    ])
+    def test_non_finite_input_rejected_at_the_call(self, nbytes, rate_cap):
+        """A NaN volume used to fail later inside a recompute ("cannot
+        schedule at time=nan"), an infinite one never completed, and a
+        NaN cap ran uncapped: each is now refused by ``transfer``, with
+        the flow's label in the message, and leaves no flow behind."""
+        sim = Simulator()
+        net = FlowNetwork(sim)
+        link = net.add_capacity("l", 1.0)
+        with pytest.raises(SimulationError, match="'ost7-seg3'"):
+            net.transfer([link], nbytes, rate_cap=rate_cap,
+                         label="ost7-seg3")
+        assert net.active_flow_count == 0
+        sim.run()
+        assert sim.now == 0.0
+
+    def test_infinite_rate_cap_means_uncapped(self):
+        sim = Simulator()
+        net = FlowNetwork(sim)
+        link = net.add_capacity("l", 100.0)
+        flow = net.transfer([link], 100.0, rate_cap=math.inf)
+        sim.run()
+        assert flow.end_time == pytest.approx(1.0)
+
     def test_too_many_resources(self):
         net = FlowNetwork(Simulator())
         links = [net.add_capacity(f"l{i}", 1.0) for i in range(5)]
@@ -241,7 +270,7 @@ class TestSlotGrowth:
     def test_grown_slots_are_clean(self):
         """Growing the slot arrays must zero/inf-pad the new slots —
         ``np.resize`` used to tile the old values into them, leaving
-        stale ``_flow_cap``/``_res``/``_remaining`` entries."""
+        stale ``_flow_cap``/``_remaining`` entries."""
         sim = Simulator()
         net = FlowNetwork(sim)
         link = net.add_capacity("l", 1e6)
@@ -253,7 +282,7 @@ class TestSlotGrowth:
         assert free.size > 0
         assert np.all(np.isinf(net._flow_cap[free]))
         assert np.all(net._remaining[free] == 0.0)
-        assert np.all(net._res[free] == -1)
+        assert all(net._slot_res[i] == () for i in free.tolist())
         assert np.all(net._start[free] == 0.0)
         assert not net._active[free].any()
 

@@ -201,6 +201,37 @@ class TestRunUntilComplete:
         with pytest.raises(SimulationError):
             sim.run_until_complete(never)
 
+    def test_process_awaited_after_it_finished(self):
+        """A process that finished during an earlier wait returns its
+        value at once, with a perpetual process still in the queue (it
+        used to step that process forever)."""
+        sim = Simulator()
+
+        def reader(delay):
+            yield sim.timeout(delay)
+            return delay
+
+        def walk():
+            while True:
+                yield sim.timeout(10.0)
+
+        sim.process(walk())
+        quick, slow = sim.process(reader(1.0)), sim.process(reader(5.0))
+        assert sim.run_until_complete(slow) == 5.0
+        now = sim.now
+        assert sim.run_until_complete(quick) == 1.0
+        assert sim.now == now
+
+    def test_failed_defused_event_raises_its_exception(self):
+        sim = Simulator()
+        failed = sim.event()
+        failed.defuse()
+        failed.fail(ValueError("disk gone"))
+        sim.run()
+        assert failed.processed
+        with pytest.raises(ValueError, match="disk gone"):
+            sim.run_until_complete(failed)
+
 
 class TestSlimCallbacks:
     """call_later/call_at push the bare callable onto the heap — no

@@ -9,8 +9,9 @@ water-filling solve **bit for bit** (``ndarray.tobytes()`` equality), at
 storms and on whole paper figures.
 
 Plus direct unit tests of the C kernel against its executable Python
-specification (:func:`repro.des.kernels.maxmin_class_solve_py`), of the
-default kernel resolution and its no-compiler fallback, and of the
+specification (:func:`repro.des.kernels.maxmin_class_solve_py`) on each
+scatter path, of the C per-recompute pass against the numpy statements,
+of the default kernel resolution and its no-compiler fallback, and of the
 simulator's event queue: exact ``(time, priority, seq)`` pop order and
 the rejection of past and NaN times, including the empty-network and
 single-flow edge cases the interfaces degenerate on.
@@ -24,7 +25,8 @@ import pytest
 
 from repro.des import FlowNetwork, Simulator, kernels
 from repro.des.kernels import (compiled_kernel, kernel_status,
-                               maxmin_class_solve_py, resolve_kernel)
+                               maxmin_class_solve_np, maxmin_class_solve_py,
+                               resolve_kernel)
 from repro.errors import ConfigurationError, SimulationError
 
 needs_compiled = pytest.mark.skipif(kernel_status() == "unavailable",
@@ -165,6 +167,39 @@ def test_compiled_kernel_single_flow():
     assert got == expected
 
 
+def assert_c_matches_spec(flow_class, class_res, class_cap, capacities,
+                          slack):
+    """The C kernel vs its interpreted specification and the numpy
+    solve, bit for bit, through one pair of scratch maps that both must
+    hand back reading all -1."""
+    class_map = np.full(class_cap.size, -1, dtype=np.int64)
+    res_map = np.full(capacities.size, -1, dtype=np.int64)
+    rate_spec = np.empty(flow_class.size, dtype=np.float64)
+    used_spec = np.zeros(capacities.size, dtype=np.float64)
+    maxmin_class_solve_py(flow_class, class_res, class_cap, capacities,
+                          slack, rate_spec, used_spec, class_map, res_map)
+    assert (class_map == -1).all() and (res_map == -1).all()
+    rate_c, used_c = compiled_kernel().solve(
+        flow_class, class_res, class_cap, capacities, slack,
+        class_map=class_map, res_map=res_map)
+    assert (class_map == -1).all() and (res_map == -1).all()
+    assert rate_c.tobytes() == rate_spec.tobytes()
+    assert used_c.tobytes() == used_spec.tobytes()
+    rate_np, used_np = maxmin_class_solve_np(
+        flow_class, class_res, class_cap, capacities, slack)
+    assert rate_c.tobytes() == rate_np.tobytes()
+    assert used_c.tobytes() == used_np.tobytes()
+    return rate_c, used_c
+
+
+def class_table(rows, caps):
+    """An interned class table from resource lists and caps."""
+    class_res = np.full((len(rows), 4), -1, dtype=np.int64)
+    for cid, row in enumerate(rows):
+        class_res[cid, :len(row)] = row
+    return class_res, np.array(caps, dtype=np.float64)
+
+
 @needs_compiled
 @pytest.mark.parametrize("seed", list(range(5)) + [
     pytest.param(s, marks=pytest.mark.slow) for s in range(5, 25)])
@@ -176,14 +211,159 @@ def test_c_kernel_matches_python_spec(seed):
     flow_class, class_res, class_cap, capacities = \
         random_solve_instance(rng)
     slack = float(rng.choice([0.0, 0.05]))
-    rate_spec = np.empty(flow_class.size, dtype=np.float64)
-    used_spec = np.empty(capacities.size, dtype=np.float64)
-    maxmin_class_solve_py(flow_class, class_res, class_cap, capacities,
-                          slack, rate_spec, used_spec)
-    rate_c, used_c = compiled_kernel().solve(
-        flow_class, class_res, class_cap, capacities, slack)
-    assert rate_c.tobytes() == rate_spec.tobytes()
-    assert used_c.tobytes() == used_spec.tobytes()
+    assert_c_matches_spec(flow_class, class_res, class_cap, capacities,
+                          slack)
+    # The same flows with their classes in slot order shuffled: class
+    # ids now first appear out of ascending order.
+    assert_c_matches_spec(rng.permutation(flow_class), class_res,
+                          class_cap, capacities, slack)
+
+
+@needs_compiled
+@pytest.mark.parametrize("slack", [0.0, 0.08])
+def test_c_kernel_classes_out_of_id_order(slack):
+    """Classes numbered by first appearance (7, 2, 5, 0 here) solve
+    exactly as np.unique's ascending numbering does."""
+    class_res, class_cap = class_table(
+        [[0], [], [0, 1], [], [], [1, 2], [], [2]],
+        [np.inf, 3.0, 40.0, 1.0, 1.0, np.inf, 1.0, 25.0])
+    flow_class = np.array([7, 2, 5, 7, 0, 2, 5, 0, 7], dtype=np.int64)
+    assert_c_matches_spec(flow_class, class_res, class_cap,
+                          np.array([100.0, 60.0, 80.0]), slack)
+
+
+@needs_compiled
+def test_c_kernel_round_freezing_most_flows_scans():
+    """Twelve classes of four flows share one link and freeze in one
+    round: 48 of 49 flows, past the 1/8 rule, so the consumption
+    scatter scans every flow in order."""
+    rows = [[0]] * 12 + [[1]]
+    class_res, class_cap = class_table(rows, [np.inf] * 13)
+    flow_class = np.array([cid for cid in range(12) for _ in range(4)]
+                          + [12], dtype=np.int64)
+    rate, used = assert_c_matches_spec(
+        np.random.default_rng(3).permutation(flow_class), class_res,
+        class_cap, np.array([96.0, 7.0]), 0.0)
+    assert sorted(set(rate.tolist())) == [2.0, 7.0]
+    assert used.tolist() == [96.0, 7.0]
+
+
+@needs_compiled
+@pytest.mark.parametrize("slack", [0.0, 0.08])
+def test_c_kernel_round_freezing_few_flows_sorts(slack):
+    """Two capped two-flow classes with interleaved slots (2, 6 and 3,
+    5) freeze first: 4 of 40 flows, under the 1/8 rule, so their member
+    lists are merged and sorted before the scatter; the other 36
+    follow in later rounds. At slack 0.08 the two caps freeze together
+    at different rates, whose sum rounds differently in slot order
+    (a + b + b + a) than class by class (a + a + b + b), and the two
+    uncapped flows sharing their link then see that residual, so a
+    missing sort shows in their rates."""
+    rows = [[1]] * 4 + [[0]] * 34
+    caps = [0.1849, 0.1845 if slack else 0.1849] + [np.inf] * 36
+    class_res, class_cap = class_table(rows, caps)
+    capped = {2: 1, 3: 0, 5: 0, 6: 1}
+    rest = iter(range(2, 38))
+    flow_class = np.array(
+        [capped[pos] if pos in capped else next(rest)
+         for pos in range(40)], dtype=np.int64)
+    rate, _used = assert_c_matches_spec(
+        flow_class, class_res, class_cap, np.array([100.0, 1.25]), slack)
+    assert rate[[3, 5]].tolist() == [0.1849] * 2
+
+
+@needs_compiled
+def test_c_kernel_untouched_capacities_read_zero():
+    """Capacities no solved flow touches stay at 0.0 consumption (the
+    kernel writes touched entries only), even between touched ones."""
+    class_res, class_cap = class_table([[3, 7], [7], [5]],
+                                       [np.inf, 10.0, np.inf])
+    capacities = np.arange(1.0, 11.0) * 100.0
+    flow_class = np.array([1, 0, 1, 0], dtype=np.int64)
+    _rate, used = assert_c_matches_spec(flow_class, class_res, class_cap,
+                                        capacities, 0.0)
+    untouched = [r for r in range(10) if r not in (3, 7)]
+    assert (used[untouched] == 0.0).all()
+    assert used[3] > 0.0 and used[7] > 0.0
+
+
+@needs_compiled
+@pytest.mark.parametrize("seed", range(6))
+def test_c_advance_finish_matches_numpy(seed):
+    """The fused per-recompute C pass (advance, flag finished flows)
+    and the next-completion minimum equal the numpy statements bit for
+    bit: remaining volumes, the moved sum, the done mask and the
+    minimum, with dt = 0 and a flow exactly at its tolerance."""
+    rng = np.random.default_rng(9000 + seed)
+    slots = 96
+    rate = rng.uniform(1e3, 1e9, size=slots)
+    remaining = rng.uniform(0.0, 2e7, size=slots)
+    start = rng.uniform(0.0, 4.0, size=slots)
+    idx = np.sort(rng.choice(slots, size=int(rng.integers(1, 80)),
+                             replace=False)).astype(np.int64)
+    now = 5.0 + float(rng.uniform(0.0, 1.0))
+    completion_slack = float(rng.choice([0.0, 0.01, 0.08]))
+    dt = float(rng.choice([0.0, 1e-6, 0.013, 0.5]))
+    # Flows exactly at their tolerance (dt = 0 leaves them there),
+    # flows finishing within dt, and an already drained flow.
+    for slot in idx[:3].tolist():
+        tol_s = completion_slack * (now - start[slot]) + 1e-9
+        remaining[slot] = rate[slot] * tol_s + 1e-6
+    remaining[idx[-1]] = 0.0
+    if idx.size > 4:
+        remaining[idx[3]] = rate[idx[3]] * dt * 0.5
+    expected_rem = remaining.copy()
+    got_rem = remaining.copy()
+    moved_np, done_np = kernels.advance_finish_np(
+        idx, rate, expected_rem, start, dt, now, completion_slack)
+    moved_c, done_c = compiled_kernel().advance_finish(
+        idx, rate, got_rem, start, dt, now, completion_slack)
+    assert got_rem.tobytes() == expected_rem.tobytes()
+    assert done_c.tolist() == done_np.tolist()
+    if dt > 0:
+        assert float(moved_c.sum()) == float(moved_np.sum())
+        assert moved_c.tobytes() == moved_np.tobytes()
+    else:
+        assert moved_c is None and moved_np is None
+        assert done_np[:3].all()
+    assert compiled_kernel().next_finish(idx, got_rem, rate) == \
+        kernels.next_finish_np(idx, expected_rem, rate)
+
+
+@needs_compiled
+def test_c_next_finish_zero_rate_and_nan():
+    """A zero rate gives inf (or NaN for an empty flow), as numpy's
+    division does, and np.min propagates a NaN."""
+    idx = np.arange(3, dtype=np.int64)
+    remaining = np.array([5.0, 4.0, 0.0])
+    for rate in (np.array([0.0, 2.0, 1.0]), np.array([1.0, 2.0, 0.0])):
+        got = compiled_kernel().next_finish(idx, remaining, rate)
+        with np.errstate(invalid="ignore"):
+            want = kernels.next_finish_np(idx, remaining, rate)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@needs_compiled
+@pytest.mark.parametrize("flow_class,class_res,match", [
+    pytest.param(np.zeros(2, dtype=np.int32), [[0, -1, -1, -1]],
+                 "contiguous", id="int32-classes"),
+    pytest.param(np.array([0, 1]), [[0, -1, -1, -1]], "class id",
+                 id="class-past-table"),
+    pytest.param(np.array([0, -1]), [[0, -1, -1, -1]], "class id",
+                 id="negative-class"),
+    pytest.param(np.zeros(2, dtype=np.int64), [[0, 1, -1, -1]],
+                 "capacity index", id="capacity-past-table"),
+])
+def test_compiled_kernel_rejects_bad_arrays(flow_class, class_res, match):
+    """The array-form calls check dtype, contiguity and every index
+    before C dereferences it."""
+    with pytest.raises(SimulationError, match=match):
+        compiled_kernel().solve(
+            flow_class, np.array(class_res, dtype=np.int64),
+            np.array([np.inf]), np.array([100.0]), 0.0)
+    with pytest.raises(SimulationError, match="slot"):
+        compiled_kernel().next_finish(np.array([0, 3]), np.ones(3),
+                                      np.ones(3))
 
 
 @needs_compiled
