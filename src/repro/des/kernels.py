@@ -42,30 +42,27 @@ multiply-add), in particular
   on identical operands, and the round's bottleneck is their minimum,
   which no order changes;
 - the capacity consumed by a freeze batch is accumulated **per flow in
-  ascending slot order**, exactly like the numpy scatter, then
-  subtracted from the residuals in one elementwise pass.
+  ascending slot order** (the C side merges the frozen classes' member
+  lists and sorts them; one class's list needs no sort), exactly like
+  the numpy scatter, then subtracted from the residuals in one
+  elementwise pass.
 
 Two things the numpy solve does not do are therefore free. The C kernel
 numbers the classes present in *first-appearance* order (numpy's
 ``np.unique`` numbers them ascending by id) through a caller-owned
 scratch map, and compacts the capacities they touch through a second
 one, so a solve costs O(flows it solves), not O(class table +
-capacities). How a round scatters its consumption follows one rule:
-when the round freezes at least 1/8 of the solve's flows it scans every
-flow in slot order, skipping the unfrozen; otherwise it merges the
-frozen classes' ascending member lists and sorts them (one class needs
-no sort). Both visit the frozen flows in the same ascending order. The
-per-recompute pass computes ``moved``, the clipped remainder, the
-completion tolerance and the quotient minimum with the numpy
-statements' operations; the sums over moved bytes and completed
+capacities). The per-recompute pass computes ``moved``, the clipped
+remainder, the completion tolerance and the quotient minimum with the
+numpy statements' operations; the sums over moved bytes and completed
 remainders stay in numpy (pairwise summation), so
 ``total_bytes_moved`` is identical too.
 
 ``tests/test_kernel_equivalence.py`` asserts equality with
 ``np.ndarray.tobytes()`` on randomized storms, at ``fairness_slack=0``
-and above, on each scatter path, and on the per-recompute pass, so
-either kernel can serve any cached sweep — the kernel name is still
-folded into cache keys as a guard.
+and above, and on the per-recompute pass, so either kernel can serve
+any cached sweep — the kernel name is still folded into cache keys as a
+guard.
 """
 
 from __future__ import annotations
@@ -158,7 +155,7 @@ int64_t repro_maxmin_class_solve(
 
     int64_t *present = NULL, *inverse = NULL, *touched = NULL;
     int64_t *cres = NULL, *members = NULL, *cstart = NULL, *cfill = NULL;
-    int64_t *unf = NULL, *newly = NULL, *buf = NULL, *cround = NULL;
+    int64_t *unf = NULL, *newly = NULL, *buf = NULL;
     double *ccap = NULL, *cmult = NULL, *crate = NULL, *cand = NULL;
     double *counts = NULL, *cap_rem = NULL, *consumed = NULL;
 
@@ -193,9 +190,8 @@ int64_t repro_maxmin_class_solve(
     cfill = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
     unf = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
     newly = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
-    cround = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
     if (!touched || !cres || !ccap || !cmult || !crate || !cand ||
-        !members || !buf || !cstart || !cfill || !unf || !newly || !cround)
+        !members || !buf || !cstart || !cfill || !unf || !newly)
         goto fail;
 
     /* -- compact the class rows onto the touched capacities ------------ */
@@ -215,7 +211,6 @@ int64_t repro_maxmin_class_solve(
         for (; k < kmax; k++)
             cres[c * kmax + k] = -1;
         ccap[c] = class_cap[id];
-        cround[c] = -1;
     }
     counts = (double *)malloc((size_t)ntouched * sizeof(double) + 1);
     cap_rem = (double *)malloc((size_t)ntouched * sizeof(double) + 1);
@@ -300,53 +295,33 @@ int64_t repro_maxmin_class_solve(
                 c = unf[ui];
                 if (cand[c] <= thresh) {
                     crate[c] = cand[c];
-                    cround[c] = rounds;
                     newly[n_new++] = c;
-                    m += cstart[c + 1] - cstart[c];
                 } else {
                     unf[wi++] = c;  /* stable compaction keeps order */
                 }
             }
             n_unf = wi;
             /* scatter consumption per flow in ascending slot order, as
-             * np.add.at over the frozen flows does, then subtract: a
-             * round that freezes >= 1/8 of the flows scans them all in
-             * order, a smaller one merges its classes' member lists and
-             * sorts them (one class's list is already in order) */
+             * np.add.at over the frozen flows does, then subtract: the
+             * frozen classes' member lists merged and sorted (one
+             * class's list is already in order) */
             memset(consumed, 0, (size_t)ntouched * sizeof(double));
-            if (n_new > 1 && 8 * m >= nflows) {
-                for (f = 0; f < nflows; f++) {
-                    double rr;
-                    c = inverse[f];
-                    if (cround[c] != rounds)
-                        continue;
-                    rr = crate[c];
-                    for (k = 0; k < kmax; k++) {
-                        j = cres[c * kmax + k];
-                        if (j < 0)
-                            break;
-                        consumed[j] += rr;
-                    }
-                }
-            } else {
-                m = 0;
-                for (i = 0; i < n_new; i++) {
-                    c = newly[i];
-                    for (f = cstart[c]; f < cstart[c + 1]; f++)
-                        buf[m++] = members[f];
-                }
-                if (n_new > 1)
-                    qsort(buf, (size_t)m, sizeof(int64_t), cmp_i64);
-                for (i = 0; i < m; i++) {
-                    double rr;
-                    c = inverse[buf[i]];
-                    rr = crate[c];
-                    for (k = 0; k < kmax; k++) {
-                        j = cres[c * kmax + k];
-                        if (j < 0)
-                            break;
-                        consumed[j] += rr;
-                    }
+            for (i = 0; i < n_new; i++) {
+                c = newly[i];
+                for (f = cstart[c]; f < cstart[c + 1]; f++)
+                    buf[m++] = members[f];
+            }
+            if (n_new > 1)
+                qsort(buf, (size_t)m, sizeof(int64_t), cmp_i64);
+            for (i = 0; i < m; i++) {
+                double rr;
+                c = inverse[buf[i]];
+                rr = crate[c];
+                for (k = 0; k < kmax; k++) {
+                    j = cres[c * kmax + k];
+                    if (j < 0)
+                        break;
+                    consumed[j] += rr;
                 }
             }
             for (j = 0; j < ntouched; j++)
@@ -374,7 +349,7 @@ done:
         res_map[touched[j]] = -1;
     free(present); free(inverse); free(touched); free(cres); free(ccap);
     free(cmult); free(crate); free(cand); free(members); free(buf);
-    free(cstart); free(cfill); free(unf); free(newly); free(cround);
+    free(cstart); free(cfill); free(unf); free(newly);
     free(counts); free(cap_rem); free(consumed);
     return rounds;
 }
@@ -613,8 +588,8 @@ def advance_finish_np(idx: np.ndarray, rate: np.ndarray,
     exact epsilon plus the ``completion_slack`` fraction of the time it
     has already been running. Returns ``(moved, done)``: the bytes each
     flow moved (``None`` unless ``dt > 0``) and the done mask. The
-    ``python`` kernel's pass, and the reference
-    :meth:`MaxminKernel.advance_finish` matches bit for bit.
+    ``python`` kernel's pass, and the reference the C pass
+    (``repro_advance_finish``) matches bit for bit.
     """
     moved = None
     if dt > 0:
@@ -630,7 +605,7 @@ def advance_finish_np(idx: np.ndarray, rate: np.ndarray,
 def next_finish_np(idx: np.ndarray, remaining: np.ndarray,
                    rate: np.ndarray) -> float:
     """Seconds until the first of the slots ``idx`` completes at its
-    current rate (the reference for :meth:`MaxminKernel.next_finish`)."""
+    current rate (the reference for ``repro_next_finish``)."""
     with np.errstate(divide="ignore"):
         finish = remaining[idx] / rate[idx]
     return float(finish.min())
@@ -683,7 +658,6 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
     ntouched = 0
     cres = np.empty((nclasses, kmax), dtype=np.int64)
     ccap = np.empty(nclasses, dtype=np.float64)
-    cround = np.empty(nclasses, dtype=np.int64)
     for c in range(nclasses):
         cid = present[c]
         k = 0
@@ -703,7 +677,6 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
             cres[c, k] = -1
             k += 1
         ccap[c] = class_cap[cid]
-        cround[c] = -1
 
     cmult = np.zeros(nclasses, dtype=np.float64)
     crate = np.zeros(nclasses, dtype=np.float64)
@@ -779,27 +752,20 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
             c = unf[ui]
             if cand[c] <= thresh:
                 crate[c] = cand[c]
-                cround[c] = rounds
                 newly[n_new] = c
                 n_new += 1
-                m += cstart[c + 1] - cstart[c]
             else:
                 unf[wi] = c
                 wi += 1
         n_unf = wi
         for j in range(ntouched):
             consumed[j] = 0.0
-        if n_new > 1 and 8 * m >= nflows:
-            frozen_flows = [f for f in range(nflows)
-                            if cround[inverse[f]] == rounds]
-        else:
-            m = 0
-            for i in range(n_new):
-                c = newly[i]
-                for p in range(cstart[c], cstart[c + 1]):
-                    buf[m] = members[p]
-                    m += 1
-            frozen_flows = np.sort(buf[:m]) if n_new > 1 else buf[:m]
+        for i in range(n_new):
+            c = newly[i]
+            for p in range(cstart[c], cstart[c + 1]):
+                buf[m] = members[p]
+                m += 1
+        frozen_flows = np.sort(buf[:m]) if n_new > 1 else buf[:m]
         for f in frozen_flows:
             c = inverse[f]
             rr = crate[c]
@@ -824,32 +790,14 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
     return rounds
 
 
-def _checked(*pairs: Tuple[np.ndarray, type]) -> None:
-    """The arrays handed to C must have the dtype it reads, contiguous."""
-    for arr, dtype in pairs:
-        if arr.dtype != dtype or not arr.flags.c_contiguous:
-            raise SimulationError(
-                f"compiled kernel needs C-contiguous {np.dtype(dtype)} "
-                f"arrays, got {arr.dtype} (contiguous: "
-                f"{arr.flags.c_contiguous})")
-
-
-def _in_range(index: np.ndarray, low: int, size: int, what: str) -> None:
-    """Every entry of ``index`` must lie in ``[low, size)``."""
-    if index.size and (index.min() < low or index.max() >= size):
-        raise SimulationError(
-            f"compiled kernel: {what} out of range for {size} entries")
-
-
 class MaxminKernel:
     """Handle on the loaded C library.
 
-    ``solve``, ``advance_finish`` and ``next_finish`` take arrays, check
-    them and return what :func:`maxmin_class_solve_np`,
-    :func:`advance_finish_np` and :func:`next_finish_np` return, bit for
-    bit. ``solve_fn``, ``advance_fn`` and ``next_finish_fn`` are the raw
-    ctypes functions :class:`~repro.des.bandwidth.FlowNetwork` calls with
-    the addresses of arrays it owns.
+    ``solve`` takes the arguments of :func:`maxmin_class_solve_np` and
+    returns its results bit for bit. ``solve_fn``, ``advance_fn`` and
+    ``next_finish_fn`` are the raw ctypes functions
+    :class:`~repro.des.bandwidth.FlowNetwork` calls with the addresses of
+    arrays it owns.
     """
 
     __slots__ = ("solve_fn", "advance_fn", "next_finish_fn")
@@ -867,19 +815,35 @@ class MaxminKernel:
               ) -> Tuple[np.ndarray, np.ndarray]:
         """Water-filling rates and per-capacity consumption; the scratch
         maps (all -1, sized like ``class_cap`` and ``capacities``) are
-        allocated when not given."""
+        allocated when not given. The arrays are checked before C reads
+        them: dtype, contiguity, and every class id and capacity index
+        it dereferences."""
         if class_map is None:
             class_map = np.full(class_cap.size, -1, dtype=np.int64)
         if res_map is None:
             res_map = np.full(capacities.size, -1, dtype=np.int64)
-        _checked((flow_class, np.int64), (class_res, np.int64),
-                 (class_cap, np.float64), (capacities, np.float64),
-                 (class_map, np.int64), (res_map, np.int64))
-        _in_range(flow_class, 0, min(class_cap.size, class_map.size,
-                                     class_res.shape[0]), "class id")
+        for arr, dtype in ((flow_class, np.int64), (class_res, np.int64),
+                           (class_cap, np.float64),
+                           (capacities, np.float64),
+                           (class_map, np.int64), (res_map, np.int64)):
+            if arr.dtype != dtype or not arr.flags.c_contiguous:
+                raise SimulationError(
+                    f"compiled kernel needs C-contiguous {np.dtype(dtype)} "
+                    f"arrays, got {arr.dtype} (contiguous: "
+                    f"{arr.flags.c_contiguous})")
+        nclasses = min(class_cap.size, class_map.size, class_res.shape[0])
+        if flow_class.size and (flow_class.min() < 0
+                                or flow_class.max() >= nclasses):
+            raise SimulationError(
+                f"compiled kernel: class id out of range for {nclasses} "
+                f"classes")
+        nres = min(capacities.size, res_map.size)
         # -1 pads a class's resource list
-        _in_range(class_res, -1, min(capacities.size, res_map.size),
-                  "capacity index")
+        if class_res.size and (class_res.min() < -1
+                               or class_res.max() >= nres):
+            raise SimulationError(
+                f"compiled kernel: capacity index out of range for {nres} "
+                f"capacities")
         slots = np.arange(flow_class.size, dtype=np.int64)
         rate = np.empty(flow_class.size, dtype=np.float64)
         cap_used = np.zeros(capacities.size, dtype=np.float64)
@@ -895,32 +859,6 @@ class MaxminKernel:
                 f"compiled maxmin kernel ran out of memory for "
                 f"{flow_class.size} flows")
         return rate, cap_used
-
-    def advance_finish(self, idx: np.ndarray, rate: np.ndarray,
-                       remaining: np.ndarray, start: np.ndarray, dt: float,
-                       now: float, completion_slack: float
-                       ) -> Tuple[Optional[np.ndarray], np.ndarray]:
-        """:func:`advance_finish_np` in one C pass."""
-        _checked((idx, np.int64), (rate, np.float64),
-                 (remaining, np.float64), (start, np.float64))
-        _in_range(idx, 0, min(rate.size, remaining.size, start.size),
-                  "slot")
-        moved = np.empty(idx.size, dtype=np.float64)
-        done = np.empty(idx.size, dtype=bool)
-        self.advance_fn(idx.size, idx.ctypes.data, rate.ctypes.data,
-                        remaining.ctypes.data, start.ctypes.data,
-                        float(dt), float(now), float(completion_slack),
-                        moved.ctypes.data, done.ctypes.data)
-        return (moved if dt > 0 else None), done
-
-    def next_finish(self, idx: np.ndarray, remaining: np.ndarray,
-                    rate: np.ndarray) -> float:
-        """:func:`next_finish_np` in one C pass."""
-        _checked((idx, np.int64), (remaining, np.float64),
-                 (rate, np.float64))
-        _in_range(idx, 0, min(rate.size, remaining.size), "slot")
-        return self.next_finish_fn(idx.size, idx.ctypes.data,
-                                   remaining.ctypes.data, rate.ctypes.data)
 
 
 # Probe memo: (kernel-or-None, error-message-or-None); probing compiles,

@@ -9,12 +9,12 @@ water-filling solve **bit for bit** (``ndarray.tobytes()`` equality), at
 storms and on whole paper figures.
 
 Plus direct unit tests of the C kernel against its executable Python
-specification (:func:`repro.des.kernels.maxmin_class_solve_py`) on each
-scatter path, of the C per-recompute pass against the numpy statements,
-of the default kernel resolution and its no-compiler fallback, and of the
-simulator's event queue: exact ``(time, priority, seq)`` pop order and
-the rejection of past and NaN times, including the empty-network and
-single-flow edge cases the interfaces degenerate on.
+specification (:func:`repro.des.kernels.maxmin_class_solve_py`), of the
+compiled network's per-recompute pass against the python network's
+numpy statements, of the default kernel resolution and its no-compiler
+fallback, and of the simulator's event queue: exact ``(time, priority,
+seq)`` pop order and the rejection of past and NaN times, including the
+empty-network and single-flow edge cases the interfaces degenerate on.
 """
 
 import math
@@ -233,32 +233,16 @@ def test_c_kernel_classes_out_of_id_order(slack):
 
 
 @needs_compiled
-def test_c_kernel_round_freezing_most_flows_scans():
-    """Twelve classes of four flows share one link and freeze in one
-    round: 48 of 49 flows, past the 1/8 rule, so the consumption
-    scatter scans every flow in order."""
-    rows = [[0]] * 12 + [[1]]
-    class_res, class_cap = class_table(rows, [np.inf] * 13)
-    flow_class = np.array([cid for cid in range(12) for _ in range(4)]
-                          + [12], dtype=np.int64)
-    rate, used = assert_c_matches_spec(
-        np.random.default_rng(3).permutation(flow_class), class_res,
-        class_cap, np.array([96.0, 7.0]), 0.0)
-    assert sorted(set(rate.tolist())) == [2.0, 7.0]
-    assert used.tolist() == [96.0, 7.0]
-
-
-@needs_compiled
 @pytest.mark.parametrize("slack", [0.0, 0.08])
-def test_c_kernel_round_freezing_few_flows_sorts(slack):
+def test_c_kernel_frozen_classes_scatter_in_slot_order(slack):
     """Two capped two-flow classes with interleaved slots (2, 6 and 3,
-    5) freeze first: 4 of 40 flows, under the 1/8 rule, so their member
-    lists are merged and sorted before the scatter; the other 36
-    follow in later rounds. At slack 0.08 the two caps freeze together
-    at different rates, whose sum rounds differently in slot order
-    (a + b + b + a) than class by class (a + a + b + b), and the two
-    uncapped flows sharing their link then see that residual, so a
-    missing sort shows in their rates."""
+    5) freeze first, so their member lists are merged and sorted before
+    the scatter; the other 36 flows follow in later rounds. At slack
+    0.08 the two caps freeze together at different rates, whose sum
+    rounds differently in slot order (a + b + b + a) than class by
+    class (a + a + b + b), and the two uncapped flows sharing their
+    link then see that residual, so a missing sort shows in their
+    rates."""
     rows = [[1]] * 4 + [[0]] * 34
     caps = [0.1849, 0.1845 if slack else 0.1849] + [np.inf] * 36
     class_res, class_cap = class_table(rows, caps)
@@ -287,19 +271,35 @@ def test_c_kernel_untouched_capacities_read_zero():
     assert used[3] > 0.0 and used[7] > 0.0
 
 
+def per_recompute_pair(rate, remaining, start, completion_slack):
+    """A ``python``-kernel and a ``compiled``-kernel network whose slot
+    arrays hold the same values, so their per-recompute passes
+    (``FlowNetwork._pass``) can be run side by side."""
+    nets = []
+    for kernel in ("python", "compiled"):
+        net = FlowNetwork(Simulator(), completion_slack=completion_slack,
+                          kernel=kernel)
+        net._rate[:] = rate
+        net._remaining[:] = remaining
+        net._start[:] = start
+        nets.append(net)
+    return nets
+
+
 @needs_compiled
 @pytest.mark.parametrize("seed", range(6))
 def test_c_advance_finish_matches_numpy(seed):
-    """The fused per-recompute C pass (advance, flag finished flows)
-    and the next-completion minimum equal the numpy statements bit for
-    bit: remaining volumes, the moved sum, the done mask and the
-    minimum, with dt = 0 and a flow exactly at its tolerance."""
+    """The compiled network's per-recompute C pass (advance, flag the
+    finished flows) and its next-completion minimum equal the python
+    network's numpy statements bit for bit: remaining volumes, the
+    moved bytes, the finished slots and the minimum, with dt = 0 and
+    flows exactly at their tolerance."""
     rng = np.random.default_rng(9000 + seed)
-    slots = 96
+    slots = 64
     rate = rng.uniform(1e3, 1e9, size=slots)
     remaining = rng.uniform(0.0, 2e7, size=slots)
     start = rng.uniform(0.0, 4.0, size=slots)
-    idx = np.sort(rng.choice(slots, size=int(rng.integers(1, 80)),
+    idx = np.sort(rng.choice(slots, size=int(rng.integers(1, 60)),
                              replace=False)).astype(np.int64)
     now = 5.0 + float(rng.uniform(0.0, 1.0))
     completion_slack = float(rng.choice([0.0, 0.01, 0.08]))
@@ -312,22 +312,22 @@ def test_c_advance_finish_matches_numpy(seed):
     remaining[idx[-1]] = 0.0
     if idx.size > 4:
         remaining[idx[3]] = rate[idx[3]] * dt * 0.5
-    expected_rem = remaining.copy()
-    got_rem = remaining.copy()
-    moved_np, done_np = kernels.advance_finish_np(
-        idx, rate, expected_rem, start, dt, now, completion_slack)
-    moved_c, done_c = compiled_kernel().advance_finish(
-        idx, rate, got_rem, start, dt, now, completion_slack)
-    assert got_rem.tobytes() == expected_rem.tobytes()
-    assert done_c.tolist() == done_np.tolist()
-    if dt > 0:
-        assert float(moved_c.sum()) == float(moved_np.sum())
-        assert moved_c.tobytes() == moved_np.tobytes()
-    else:
-        assert moved_c is None and moved_np is None
-        assert done_np[:3].all()
-    assert compiled_kernel().next_finish(idx, got_rem, rate) == \
-        kernels.next_finish_np(idx, expected_rem, rate)
+    py_net, c_net = per_recompute_pair(rate, remaining, start,
+                                       completion_slack)
+    want = py_net._pass.advance_finish(py_net, idx, dt, now)
+    got = c_net._pass.advance_finish(c_net, idx, dt, now)
+    assert c_net._remaining.tobytes() == py_net._remaining.tobytes()
+    assert c_net.total_bytes_moved == py_net.total_bytes_moved
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tolist() == want.tolist()
+    if dt == 0:
+        assert c_net.total_bytes_moved == 0.0
+        assert set(idx[:3].tolist()) <= set(got.tolist())
+    live = idx if got is None else np.setdiff1d(idx, got)
+    if live.size:
+        assert np.float64(c_net._pass.next_finish(c_net, live)).tobytes() \
+            == np.float64(py_net._pass.next_finish(py_net, live)).tobytes()
 
 
 @needs_compiled
@@ -335,11 +335,13 @@ def test_c_next_finish_zero_rate_and_nan():
     """A zero rate gives inf (or NaN for an empty flow), as numpy's
     division does, and np.min propagates a NaN."""
     idx = np.arange(3, dtype=np.int64)
-    remaining = np.array([5.0, 4.0, 0.0])
-    for rate in (np.array([0.0, 2.0, 1.0]), np.array([1.0, 2.0, 0.0])):
-        got = compiled_kernel().next_finish(idx, remaining, rate)
+    for rate in ([0.0, 2.0, 1.0], [1.0, 2.0, 0.0]):
+        py_net, c_net = per_recompute_pair(
+            np.pad(rate, (0, 61), constant_values=1.0),
+            np.pad([5.0, 4.0, 0.0], (0, 61)), np.zeros(64), 0.0)
+        got = c_net._pass.next_finish(c_net, idx)
         with np.errstate(invalid="ignore"):
-            want = kernels.next_finish_np(idx, remaining, rate)
+            want = py_net._pass.next_finish(py_net, idx)
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
@@ -347,6 +349,8 @@ def test_c_next_finish_zero_rate_and_nan():
 @pytest.mark.parametrize("flow_class,class_res,match", [
     pytest.param(np.zeros(2, dtype=np.int32), [[0, -1, -1, -1]],
                  "contiguous", id="int32-classes"),
+    pytest.param(np.zeros(4, dtype=np.int64)[::2], [[0, -1, -1, -1]],
+                 "contiguous", id="strided-classes"),
     pytest.param(np.array([0, 1]), [[0, -1, -1, -1]], "class id",
                  id="class-past-table"),
     pytest.param(np.array([0, -1]), [[0, -1, -1, -1]], "class id",
@@ -355,15 +359,12 @@ def test_c_next_finish_zero_rate_and_nan():
                  "capacity index", id="capacity-past-table"),
 ])
 def test_compiled_kernel_rejects_bad_arrays(flow_class, class_res, match):
-    """The array-form calls check dtype, contiguity and every index
+    """The five-argument solve checks dtype, contiguity and every index
     before C dereferences it."""
     with pytest.raises(SimulationError, match=match):
         compiled_kernel().solve(
             flow_class, np.array(class_res, dtype=np.int64),
             np.array([np.inf]), np.array([100.0]), 0.0)
-    with pytest.raises(SimulationError, match="slot"):
-        compiled_kernel().next_finish(np.array([0, 3]), np.ones(3),
-                                      np.ones(3))
 
 
 @needs_compiled
