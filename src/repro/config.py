@@ -4,9 +4,8 @@ Damaris keeps its run-time options in one external description that the
 clients and the dedicated core both read (:mod:`repro.core.config`);
 the engine's environment knobs follow suit. :data:`KNOBS` holds one
 :class:`Knob` row per ``REPRO_*`` variable, and every reader, the
-sweep-cache key context, the remote welcome frame and the figure CLI's
-flags are built from it. No other module under ``repro`` touches a
-``REPRO_*`` variable.
+sweep-cache key context and the figure CLI's flags are built from it.
+No other module under ``repro`` touches a ``REPRO_*`` variable.
 
 The environment is read at call time. An explicit argument beats the
 environment, which beats the default, and an empty value means unset.
@@ -26,8 +25,8 @@ from typing import Any, Callable, Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 
-__all__ = ["KNOBS", "Knob", "TASK_ENV", "apply_task_env", "check",
-           "export", "get", "parse_addr", "parse_bool", "task_env"]
+__all__ = ["KNOBS", "Knob", "check", "export", "get", "parse_addr",
+           "parse_bool"]
 
 #: ``Knob.fallback`` of a row whose bad values raise.
 _STRICT = object()
@@ -59,10 +58,6 @@ def parse_addr(item: Any) -> Tuple[str, int]:
     return host, port
 
 
-def _addr_list(raw: Any) -> Tuple[Tuple[str, int], ...]:
-    return tuple(map(parse_addr, str(raw).replace(",", " ").split()))
-
-
 def _word(raw: Any) -> str:
     return str(raw).strip().lower()
 
@@ -89,8 +84,7 @@ class Knob:
     ``default`` (called when callable) applies when unset; ``valid`` is
     what messages and ``--help`` print (derived from ``choices`` when
     those are given); ``cache_key`` names its sweep-cache context field;
-    ``task_env`` says task bodies read it, so the remote welcome frame
-    carries it; ``flag`` is its figure-CLI flag (a boolean row also gets
+    ``flag`` is its figure-CLI flag (a boolean row also gets
     ``--no-...``); ``fallback``, when set, is what a bad environment
     value warns and falls back to instead of raising."""
 
@@ -101,7 +95,6 @@ class Knob:
     valid: str = ""
     choices: Tuple[str, ...] = ()
     cache_key: str = ""
-    task_env: bool = False
     flag: str = ""
     fallback: Any = _STRICT
 
@@ -124,27 +117,19 @@ class Knob:
 _POSITIVE = "a positive integer (>= 1)"
 _BOOL = f"{', '.join(_ON)} or {', '.join(_OFF)}"
 
-#: Every ``REPRO_*`` variable by name, in welcome-frame and
-#: cache-context order.
+#: Every ``REPRO_*`` variable by name, in cache-context order.
 KNOBS: Dict[str, Knob] = {knob.env: knob for knob in (
     Knob("REPRO_FAST", parse_bool, "trimmed sweeps: smaller scales, "
-         "fewer write phases", False, _BOOL, cache_key="repro_fast",
-         task_env=True),
+         "fewer write phases", False, _BOOL, cache_key="repro_fast"),
     Knob("REPRO_KERNEL", _word, "water-filling kernel; unset means "
          "compiled when the C kernel loads, else python",
          choices=("compiled", "python"), cache_key="repro_kernel",
-         task_env=True, flag="--kernel"),
+         flag="--kernel"),
     Knob("REPRO_TRACE", str, "record one trace file per sweep "
          "configuration into this directory", "", "a directory",
-         task_env=True, flag="--trace"),
+         flag="--trace"),
     Knob("REPRO_PARALLEL", _at_least(1), "sweep worker processes", 1,
          _POSITIVE, flag="--parallel", fallback=1),
-    Knob("REPRO_BACKEND", _word, "sweep execution backend for cache "
-         "misses", "process", choices=("serial", "process", "remote"),
-         flag="--backend"),
-    Knob("REPRO_WORKERS", _addr_list, "remote sweep workers (started "
-         "with python -m repro.tools.sweepworkerctl serve)", (),
-         "host:port[,host:port...]", flag="--workers"),
     Knob("REPRO_CACHE", parse_bool, "serve sweep points from the result "
          "cache and store the rest", False, _BOOL, flag="--cache"),
     Knob("REPRO_CACHE_DIR", str, "result cache location",
@@ -164,9 +149,6 @@ KNOBS: Dict[str, Knob] = {knob.env: knob for knob in (
     Knob("REPRO_SERVICE_ADDR", parse_addr, "servectl's default server "
          "address", ("127.0.0.1", 8642), "host:port"),
 )}
-
-#: The rows task bodies read, in welcome-frame order.
-TASK_ENV = tuple(knob.env for knob in KNOBS.values() if knob.task_env)
 
 
 def get(name: str, arg: Any = None, *, source: str = "",
@@ -213,20 +195,3 @@ def export(values: Mapping[str, str]) -> None:
     """Write checked raw values where task bodies and pool workers
     read them."""
     os.environ.update(values)
-
-
-def task_env() -> Dict[str, str]:
-    """The raw :data:`TASK_ENV` values ("" = unset) of the welcome
-    frame."""
-    return {name: os.environ.get(name, "") for name in TASK_ENV}
-
-
-def apply_task_env(env: Mapping[str, Any]) -> None:
-    """Adopt a coordinator's :func:`task_env`, setting or clearing every
-    key so nothing lingers from an earlier coordinator."""
-    for name in TASK_ENV:
-        value = str(env.get(name, "") or "")
-        if value:
-            os.environ[name] = value
-        else:
-            os.environ.pop(name, None)

@@ -133,7 +133,7 @@ class LinkCapacity:
 
     def set_capacity(self, capacity: float) -> None:
         """Change the capacity (e.g. background interference); reshapes flows."""
-        if capacity <= 0:
+        if not capacity > 0:  # NaN fails this too
             raise SimulationError(f"capacity must be > 0, got {capacity}")
         self.network._capacities[self.index] = capacity
         self.network._mark_capacity_changed(self.index)
@@ -434,7 +434,7 @@ class FlowNetwork:
         """Register a new shared capacity (bytes/s)."""
         if name in self._links:
             raise SimulationError(f"duplicate capacity name {name!r}")
-        if capacity <= 0:
+        if not capacity > 0:  # NaN fails this too
             raise SimulationError(f"capacity must be > 0, got {capacity}")
         index = len(self._cap_names)
         self._cap_names.append(name)

@@ -6,8 +6,9 @@
   workload) configuration and measure what the paper measures;
 - :mod:`repro.experiments.figures` — one driver per table/figure of the
   evaluation section;
-- :mod:`repro.experiments.executor` — process-parallel sweep fan-out
-  (``REPRO_PARALLEL=N``) with bit-identical, seeded results;
+- :mod:`repro.experiments.executor` — cache-aware sweeps, serial or
+  over one process pool (``REPRO_PARALLEL=N``), with bit-identical,
+  seeded results;
 - :mod:`repro.experiments.report` — paper-vs-measured table rendering.
 """
 

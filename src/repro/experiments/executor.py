@@ -1,32 +1,23 @@
-"""Cache-aware sweep scheduler over pluggable execution backends.
+"""Cache-aware sweep scheduler: a serial loop or one local process pool.
 
 The figure drivers in :mod:`repro.experiments.figures` sweep many
 independent ``(ncores, strategy)`` configurations; each one builds its
 own :class:`~repro.des.core.Simulator` and machine from an explicit RNG
-seed, so they can run in any order — or on other processes and
-machines — and produce bit-identical results. This module provides the
-scheduling:
+seed, so they can run in any order, in any process, and produce
+bit-identical results. This module provides the scheduling:
 
 - :class:`SweepTask` — a picklable unit of work (top-level function,
   positional args, keyword args, display label);
 - :func:`run_sweep` — the cache-aware scheduler: tasks whose result is
   already in the content-addressed store (:mod:`repro.cache`) are
-  returned instantly and never reach a backend; the remaining misses go
-  to a :class:`~repro.experiments.backends.Backend` — in-process
-  serial, a local process pool, or TCP sweep workers on other machines
-  (:mod:`repro.experiments.backends.remote`) — and are written back as
-  they complete. Results stream in **completion order** (one progress
-  tick each, with the task's wall ``duration`` and ``worker`` origin)
-  but are reassembled **by index**, so every backend returns a
+  returned instantly and never reach a worker; the remaining misses run
+  in-process, or over one ``ProcessPoolExecutor`` when
+  ``parallel``/``REPRO_PARALLEL`` asks for more than one worker and
+  more than one task misses, and are written back as they complete.
+  Results stream in **completion order** (one progress tick each, with
+  the task's wall ``duration`` and ``worker`` origin) but are
+  reassembled **by index**, so serial and pool runs return a
   bit-identical list.
-
-Backend selection: the ``backend`` argument (a registry name or a
-:class:`~repro.experiments.backends.Backend` instance) wins, then
-``REPRO_BACKEND``, then a process pool sized by
-``parallel``/``REPRO_PARALLEL`` that degrades to serial at one worker.
-A backend instance passed by the caller is *borrowed* (the caller keeps
-pool/socket ownership); anything resolved from a name is constructed
-and closed per sweep.
 
 Caching is off unless requested (an explicit
 :class:`~repro.cache.ResultCache`, or ``REPRO_CACHE``). The cache-keyed
@@ -44,28 +35,24 @@ randomness must come from seeds carried in its arguments. Every task in
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, Union)
 
 from repro import config
 from repro.cache.store import ResultCache, cache_from_env
-from repro.experiments.backends import (
-    Backend,
-    BackendError,
-    ProcessBackend,
-    SerialBackend,
-    default_backend_name,
-    make_backend,
-    pool_chunksize,
-)
 
 __all__ = ["SweepProgress", "SweepTask", "default_parallelism",
            "env_mode_context", "pool_chunksize", "resolve_cache_context",
            "run_sweep"]
 
-#: ``Backend.name`` → ``SweepProgress.source``. The local backends keep
-#: their historical spellings; new backends tick as their own names.
-_SOURCE_NAMES = {"serial": "serial", "process": "pool"}
+#: Upper bound for a computed dispatch chunk: large enough to amortise
+#: IPC, small enough to keep workers balanced.
+_MAX_CHUNKSIZE = 16
+
+#: One finished miss: ``(index, value, worker, duration)``.
+_Outcome = Tuple[int, Any, str, float]
 
 
 @dataclass(frozen=True)
@@ -105,14 +92,14 @@ class SweepProgress:
     """One progress tick of :func:`run_sweep`.
 
     ``done`` counts every finished task — cache hits, bypasses and
-    backend results alike — through one accounting path, so a consumer
+    computed results alike — through one accounting path, so a consumer
     always observes ``done`` advancing by exactly 1 per event, from 1
     to ``total``, regardless of how the hit/miss partition interleaves
     with parallel completion. ``index`` is the task's position in the
     submitted list; ``source`` says how the result was produced;
-    ``worker`` names the execution site (``pool/<pid>``, a remote
-    worker tag, empty for cache hits) and ``duration`` is the task's
-    wall time on that worker (0.0 for hits).
+    ``worker`` names the execution site (``serial/<pid>``,
+    ``pool/<pid>``, empty for cache hits) and ``duration`` is the
+    task's wall time on that worker (0.0 for hits).
     """
 
     done: int
@@ -120,7 +107,7 @@ class SweepProgress:
     hits: int
     computed: int
     index: int
-    source: str  # "cache" | "serial" | "pool" | "remote"
+    source: str  # "cache" | "serial" | "pool"
     label: str = ""
     worker: str = ""
     duration: float = 0.0
@@ -161,28 +148,66 @@ def _resolve_cache(cache: Union[ResultCache, None, bool],
     return cache_from_env(context=env_mode_context())
 
 
-def _resolve_backend(backend: Union[str, Backend, None],
-                     workers: int, nmisses: int,
-                     chunksize: Optional[int]) -> Tuple[Backend, bool]:
-    """``(backend, owned)`` for this sweep's misses.
+def pool_chunksize(ntasks: int, workers: int) -> int:
+    """Tasks per dispatch chunk for the process pool.
 
-    Name resolution: an explicit argument, else ``REPRO_BACKEND``, else
-    ``process`` — which (historically) degrades to in-process serial
-    when one worker or one miss makes a pool pure overhead.
+    One IPC round-trip per task dominates on large sweeps of fast
+    tasks. Aim for ~4 chunks per worker (keeps the pool balanced when
+    task durations vary) and cap the chunk at a fixed bound so a huge
+    sweep still streams results.
     """
-    if isinstance(backend, Backend):
-        return backend, False
-    name = backend if backend is not None else default_backend_name()
-    name = name.strip().lower()
-    if name == "process" and min(workers, nmisses) <= 1:
-        return SerialBackend(), True
-    if name == "process":
-        return ProcessBackend(workers=workers, chunksize=chunksize), True
-    return make_backend(name), True
+    if workers <= 1:
+        return 1
+    return max(1, min(_MAX_CHUNKSIZE, ntasks // (workers * 4)))
 
 
-def _trace_backend(backend: Backend, trace_dir: str, total: int,
-                   hits: int, computed: int) -> None:
+def _run_chunk(chunk: List[Tuple[int, SweepTask]]
+               ) -> Tuple[int, List[Tuple[int, Any, float]]]:
+    """Pool-side chunk runner: per-task values with wall durations."""
+    out = []
+    for index, task in chunk:
+        start = time.perf_counter()
+        value = task.run()
+        out.append((index, value, time.perf_counter() - start))
+    return os.getpid(), out
+
+
+def _run_serial(pending: Sequence[Tuple[int, SweepTask]]
+                ) -> Iterator[_Outcome]:
+    worker = f"serial/{os.getpid()}"
+    for index, task in pending:
+        start = time.perf_counter()
+        value = task.run()
+        yield index, value, worker, time.perf_counter() - start
+
+
+def _run_pool(pending: Sequence[Tuple[int, SweepTask]], workers: int,
+              chunksize: Optional[int]) -> Iterator[_Outcome]:
+    """Fan ``pending`` over one pool and yield chunk results in
+    completion order (``submit`` + ``wait``, not ``map``: one slow early
+    chunk must not hold back its finished peers' progress ticks and
+    cache write-back)."""
+    # Imported here so a serial sweep never loads the multiprocessing
+    # machinery.
+    from concurrent.futures import (FIRST_COMPLETED, ProcessPoolExecutor,
+                                    wait)
+
+    if chunksize is None:
+        chunksize = pool_chunksize(len(pending), workers)
+    chunksize = max(1, int(chunksize))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = {pool.submit(_run_chunk, pending[at:at + chunksize])
+                   for at in range(0, len(pending), chunksize)}
+        while futures:
+            done, futures = wait(futures, return_when=FIRST_COMPLETED)
+            for future in done:
+                pid, outcomes = future.result()
+                for index, value, duration in outcomes:
+                    yield index, value, f"pool/{pid}", duration
+
+
+def _trace_sweep(actor: str, trace_dir: str, total: int, hits: int,
+                 computed: int, workers: int) -> None:
     # One "backend" event per sweep, appended to a single jsonl next to
     # the per-config trace files; tracereport --by backend feeds on it.
     from repro.observe.export import to_jsonl
@@ -190,9 +215,8 @@ def _trace_backend(backend: Backend, trace_dir: str, total: int,
 
     tracer = Tracer()
     tracer.record_event(
-        "backend", "sweep", backend.name, time=0.0,
-        total=total, hits=hits, computed=computed,
-        **backend.counters())
+        "backend", "sweep", actor, time=0.0,
+        total=total, hits=hits, computed=computed, workers=workers)
     os.makedirs(trace_dir, exist_ok=True)
     path = os.path.join(trace_dir, "sweep-backend.jsonl")
     with open(path, "a", encoding="utf-8") as fh:
@@ -204,20 +228,16 @@ def run_sweep(tasks: Iterable[SweepTask],
               cache: Union[ResultCache, None, bool] = None,
               chunksize: Optional[int] = None,
               progress: Optional[Callable[[SweepProgress], None]] = None,
-              backend: Union[str, Backend, None] = None,
               ) -> List[Any]:
     """Run every task and return their results **in task order**.
 
-    ``backend`` picks the execution backend for cache misses: a
-    registry name (``serial`` | ``process`` | ``remote``), a
-    ready :class:`~repro.experiments.backends.Backend` instance (the
-    caller keeps ownership — useful to reuse one process pool or one
-    set of remote connections across sweeps), or ``None`` to consult
-    ``REPRO_BACKEND`` and fall back to the historical behaviour:
-    ``parallel=None`` consults :func:`default_parallelism`, and one
-    worker (or a single miss) runs serially in-process with no pool
-    overhead. Cache hits never reach the backend — with a fully warm
-    cache no pool is spawned and no connection is dialed.
+    ``parallel=None`` consults :func:`default_parallelism`. The cache
+    misses run serially in-process when one worker or a single miss
+    makes a pool pure overhead; otherwise they fan over one
+    ``ProcessPoolExecutor`` of ``min(parallel, misses)`` workers, in
+    chunks of ``chunksize`` tasks (``None``: :func:`pool_chunksize`).
+    Cache hits never reach a worker — with a fully warm cache no pool
+    is spawned. A task that raises propagates its exception.
 
     ``cache=None`` consults the environment (``REPRO_CACHE`` /
     ``REPRO_CACHE_DIR``); ``cache=False`` forces caching off; an
@@ -228,22 +248,21 @@ def run_sweep(tasks: Iterable[SweepTask],
     *as each one completes* — a slow straggler cannot delay persisting
     its finished peers — then an LRU eviction pass bounds the store
     size. With ``REPRO_TRACE`` set every task is a *bypass*: trace
-    files are a side effect a cache hit would skip.
+    files are a side effect a cache hit would skip, and the sweep
+    appends one ``backend`` event to ``sweep-backend.jsonl`` there.
 
     ``progress`` is called once per finished task, in true completion
     order, with a :class:`SweepProgress` whose ``done`` counter is
-    strictly monotonic: cache hits served in the parent and results
-    arriving from backends are counted through the same accounting
-    path, so totals can never be observed out of order however
-    completion interleaves. Results are reassembled by task index, so
-    the returned list is bit-identical across backends for
-    deterministic tasks.
+    strictly monotonic: cache hits served in the parent and computed
+    results are counted through the same accounting path, so totals can
+    never be observed out of order however completion interleaves.
+    Results are reassembled by task index, so the returned list is
+    bit-identical between serial and pool runs of deterministic tasks.
     """
     task_list = list(tasks)
     total = len(task_list)
     workers = default_parallelism() if parallel is None \
         else max(1, int(parallel))
-    workers = min(workers, max(1, total))
     store = _resolve_cache(cache)
     trace_dir = config.get("REPRO_TRACE")
     if store is not None and trace_dir:
@@ -256,7 +275,7 @@ def run_sweep(tasks: Iterable[SweepTask],
     def _advance(index: int, source: str, label: str,
                  worker: str = "", duration: float = 0.0) -> None:
         # The single accounting path: every finished task — cache hit,
-        # bypass or backend result — passes through here exactly once.
+        # bypass or computed result — passes through here exactly once.
         nonlocal done, hits, computed_count
         done += 1
         if source == "cache":
@@ -292,43 +311,33 @@ def run_sweep(tasks: Iterable[SweepTask],
                 pending.append((i, task))
 
     if pending:
-        engine, owned = _resolve_backend(
-            backend, workers, len(pending), chunksize)
-        source = _SOURCE_NAMES.get(engine.name, engine.name)
-        labels = {i: task.label for i, task in pending}
-        seen: set = set()
+        workers = min(workers, len(pending))
+        if workers > 1:
+            actor, source = "process", "pool"
+            outcomes = _run_pool(pending, workers, chunksize)
+        else:
+            actor, source = "serial", "serial"
+            outcomes = _run_serial(pending)
+        sites = set()
         try:
-            for outcome in engine.run_tasks(pending):
-                if outcome.index in seen:
-                    raise BackendError(
-                        f"backend {engine.name!r} returned task "
-                        f"{outcome.index} twice")
-                seen.add(outcome.index)
-                results[outcome.index] = outcome.value
-                _advance(outcome.index, source, labels[outcome.index],
-                         worker=outcome.worker,
-                         duration=outcome.duration)
-                if store is not None:
-                    key = keys.get(outcome.index)
-                    if key is not None:
-                        task = task_list[outcome.index]
-                        fn = task.fn
-                        store.put(key, outcome.value, meta={
-                            "fn": f"{getattr(fn, '__module__', '?')}."
-                                  f"{getattr(fn, '__qualname__', '?')}",
-                            "label": task.label,
-                        })
-            missing = [i for i, _task in pending if i not in seen]
-            if missing:
-                raise BackendError(
-                    f"backend {engine.name!r} never returned task(s) "
-                    f"{missing[:8]}{'...' if len(missing) > 8 else ''}")
-            if trace_dir:
-                _trace_backend(engine, trace_dir, total, hits,
-                               computed_count)
+            for index, value, worker, duration in outcomes:
+                results[index] = value
+                sites.add(worker)
+                task = task_list[index]
+                _advance(index, source, task.label, worker=worker,
+                         duration=duration)
+                key = keys.get(index)
+                if key is not None:
+                    store.put(key, value, meta={
+                        "fn": f"{getattr(task.fn, '__module__', '?')}."
+                              f"{getattr(task.fn, '__qualname__', '?')}",
+                        "label": task.label,
+                    })
         finally:
-            if owned:
-                engine.close()
+            outcomes.close()  # shut a pool down even if a consumer raised
+        if trace_dir:
+            _trace_sweep(actor, trace_dir, total, hits, computed_count,
+                         len(sites))
 
     if store is not None:
         store.flush()

@@ -12,8 +12,8 @@ fewer phases) for quick runs; the full sweeps match the paper.
 Every driver expresses its sweep as a list of picklable, seeded *spec*
 dicts (platform preset, core count, strategy description, seed) run
 through :func:`repro.experiments.executor.run_sweep`, so the sweeps
-parallelise, distribute and cache with bit-identical results under the
-knobs of :mod:`repro.config`.
+parallelise and cache with bit-identical results under the knobs of
+:mod:`repro.config`.
 """
 
 from __future__ import annotations

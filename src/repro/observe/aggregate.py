@@ -124,14 +124,13 @@ def solver_table(tracer: Tracer) -> List[Dict[str, object]]:
 
 
 def backend_table(tracer: Tracer) -> List[Dict[str, object]]:
-    """One row per sweep backend with its summed dispatch counters.
+    """One row per sweep dispatch path (``serial`` or ``process``).
 
     :func:`~repro.experiments.executor.run_sweep` records one
     ``backend`` event per traced sweep whose attributes are that
     sweep's totals; unlike solver counters these are per-event
-    (not cumulative per actor), so rows *sum* over a backend's events —
-    ``requeued``/``speculative``/``discarded`` expose what the remote
-    coordinator's crash recovery and straggler re-dispatch did.
+    (not cumulative per actor), so rows *sum* over a path's events,
+    and ``workers`` is the most worker processes one sweep used.
     """
     groups: Dict[str, List[object]] = {}
     for event in tracer.events_in("backend"):
@@ -141,9 +140,7 @@ def backend_table(tracer: Tracer) -> List[Dict[str, object]]:
         events = groups[actor]
         row: Dict[str, object] = {"backend": actor,
                                   "sweeps": len(events)}
-        for name in ("total", "hits", "computed", "dispatched",
-                     "completed", "requeued", "speculative", "discarded",
-                     "rejected", "crashed"):
+        for name in ("total", "hits", "computed"):
             row[name] = int(sum(
                 float(_number(event, name)) for event in events))
         workers = max(

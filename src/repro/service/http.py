@@ -6,11 +6,14 @@ response builder, not a web framework: no TLS, no chunked request
 bodies, no keep-alive (every response closes the connection, which keeps
 server state per-request and lets the drain path finish by just waiting
 for open handlers). Limits are enforced up front: header block and body
-sizes are bounded so a confused client cannot balloon server memory.
+sizes are bounded so a confused client cannot balloon server memory, and
+a request must arrive whole within a time bound so a silent client
+cannot hold a handler (and with it the drain path) open.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
@@ -21,11 +24,14 @@ __all__ = ["HttpError", "Request", "read_request", "response",
 
 _MAX_HEADER_BYTES = 32 * 1024
 _MAX_BODY_BYTES = 32 * 1024 * 1024
+#: Seconds a client has to send one whole request, head and body.
+_REQUEST_TIMEOUT_S = 10.0
 
 _REASONS = {
     200: "OK", 202: "Accepted", 204: "No Content",
     400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
-    409: "Conflict", 413: "Payload Too Large", 429: "Too Many Requests",
+    408: "Request Timeout", 409: "Conflict", 413: "Payload Too Large",
+    429: "Too Many Requests",
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
@@ -56,17 +62,28 @@ class Request:
             return json.loads(self.body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}")
+        except RecursionError:
+            raise HttpError(400, "request body is nested too deeply")
 
     def header(self, name: str, default: str = "") -> str:
         return self.headers.get(name.lower(), default)
 
 
 async def read_request(reader) -> Optional[Request]:
-    """Parse one request from ``reader``; ``None`` on a clean EOF."""
+    """Parse one request from ``reader``; ``None`` on a clean EOF. A
+    request not received whole within ``_REQUEST_TIMEOUT_S`` is a 408."""
+    try:
+        return await asyncio.wait_for(_read_request(reader),
+                                      _REQUEST_TIMEOUT_S)
+    except asyncio.TimeoutError:
+        raise HttpError(408, f"request not received within "
+                             f"{_REQUEST_TIMEOUT_S:g} s") from None
+
+
+async def _read_request(reader) -> Optional[Request]:
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except Exception as exc:  # IncompleteReadError, LimitOverrun, reset
-        import asyncio
         if isinstance(exc, asyncio.IncompleteReadError):
             if not exc.partial:
                 return None  # connection closed between requests
@@ -94,7 +111,10 @@ async def read_request(reader) -> Optional[Request]:
             raise HttpError(400, f"malformed header line {line!r}")
         headers[name.strip().lower()] = value.strip()
 
-    split = urlsplit(target)
+    try:
+        split = urlsplit(target)
+    except ValueError:  # e.g. an unclosed "[" in an authority
+        raise HttpError(400, f"malformed request target {target!r}")
     query = {key: value for key, value
              in parse_qsl(split.query, keep_blank_values=True)}
 

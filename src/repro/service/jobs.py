@@ -55,6 +55,9 @@ def validate_job_payload(payload: Any) -> Dict[str, Any]:
         except SpecError as exc:
             raise InvalidSpecError(f"specs[{i}]: {exc}",
                                    spec_index=i) from None
+        except RecursionError:  # rendering a deeply nested bad value
+            raise InvalidSpecError(f"specs[{i}]: a value is nested too "
+                                   f"deeply", spec_index=i) from None
     priority = payload.get("priority", 0)
     if not isinstance(priority, int) or isinstance(priority, bool) \
             or not 0 <= priority <= 9:

@@ -147,8 +147,8 @@ class SweepService:
             "Compute-pool workers lost mid-task.")
         self._m_backend_tasks = self.metrics.counter(
             "repro_backend_tasks_total",
-            "Sweep-backend dispatch events (same counters run_sweep "
-            "traces under REPRO_TRACE).", ("event",))
+            "Compute-pool task events: dispatched, completed, crashed.",
+            ("event",))
         self._m_tenant_jobs = self.metrics.gauge(
             "repro_tenant_jobs_submitted", "Jobs admitted, per tenant.",
             ("tenant",))

@@ -13,11 +13,11 @@ Usage::
     python -m repro.tools.figures --kernel python fig4    # numpy solve
     python -m repro.tools.figures faults                  # fault degradation
     python -m repro.tools.figures --faults my_schedule.json faults
-    python -m repro.tools.figures --backend remote \\
-        --workers nodeA:7401,nodeA:7402 all      # distributed sweep
 
 Each flag sets the ``REPRO_*`` variable of its row in
 :mod:`repro.config`; ``--help`` lists them with their valid values.
+``--parallel N`` runs each sweep's cache misses on a pool of ``N``
+processes; the output is byte-identical to a serial run.
 Each driver prints the same rows the corresponding bench asserts on and
 that EXPERIMENTS.md documents.
 """

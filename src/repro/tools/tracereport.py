@@ -17,11 +17,11 @@ reports how the flow-network share recomputations were served: full
 water-filling solves vs component-partitioned solves vs incremental
 fast-path grants, and which water-filling kernel (python/compiled)
 served them. The backend table (``--by backend``; appears in the
-summary when a ``REPRO_TRACE`` sweep recorded dispatch counters to
-``sweep-backend.jsonl``) shows how each sweep backend moved its tasks:
-dispatches, completions, crash-recovery requeues, speculative
-straggler re-dispatches and discarded duplicates, and rejected
-workers. ``--chrome`` converts the JSONL trace to
+summary when a ``REPRO_TRACE`` sweep recorded its totals to
+``sweep-backend.jsonl``) shows, per dispatch path (``serial`` or
+``process``), how many sweeps ran, their tasks, cache hits and
+computed points, and the most worker processes one sweep used.
+``--chrome`` converts the JSONL trace to
 Chrome ``trace_event`` format — open it at ``chrome://tracing`` or
 https://ui.perfetto.dev to see the timeline.
 """

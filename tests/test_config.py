@@ -11,7 +11,6 @@ import pathlib
 
 import repro
 from repro import config
-from repro.experiments.backends.protocol import MODE_ENV_KEYS
 from repro.tools.figures import _parser
 
 SRC = pathlib.Path(repro.__file__).resolve().parent
@@ -76,16 +75,14 @@ def test_only_the_config_table_touches_repro_env():
 
 
 def test_table_shape():
-    assert len(config.KNOBS) == 12
+    assert len(config.KNOBS) == 10
     assert all(name.startswith("REPRO_") for name in config.KNOBS)
     context = [knob.cache_key for knob in config.KNOBS.values()
                if knob.cache_key]
     assert context == ["repro_fast", "repro_kernel"]
-    assert MODE_ENV_KEYS == config.TASK_ENV == (
-        "REPRO_FAST", "REPRO_KERNEL", "REPRO_TRACE")
     flags = [flag for action in _parser()._actions
              for flag in action.option_strings if flag not in ("-h",
                                                                "--help")]
     assert sorted(flags) == [
-        "--backend", "--cache", "--cache-dir", "--faults", "--kernel",
-        "--no-cache", "--parallel", "--trace", "--workers"]
+        "--cache", "--cache-dir", "--faults", "--kernel", "--no-cache",
+        "--parallel", "--trace"]

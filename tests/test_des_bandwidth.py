@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import FlowNetwork, Simulator
+from repro.des.kernels import kernel_status
 from repro.errors import SimulationError
 
 
@@ -144,6 +145,28 @@ class TestValidation:
         net = FlowNetwork(Simulator())
         with pytest.raises(SimulationError):
             net.add_capacity("bad", 0.0)
+
+    @pytest.mark.parametrize("kernel", [
+        "python",
+        pytest.param("compiled", marks=pytest.mark.skipif(
+            kernel_status() == "unavailable", reason="no C compiler")),
+    ])
+    def test_nan_capacity_rejected(self, kernel):
+        """A NaN capacity used to pass ``capacity <= 0``; the python
+        kernel then never finished a flow across it while the compiled
+        one did. Both entry points refuse it and leave the link as it
+        was."""
+        sim = Simulator()
+        net = FlowNetwork(sim, kernel=kernel)
+        with pytest.raises(SimulationError, match="nan"):
+            net.add_capacity("nan", math.nan)
+        link = net.add_capacity("l", 100.0)
+        flow = net.transfer([link], 100.0)
+        with pytest.raises(SimulationError, match="nan"):
+            link.set_capacity(math.nan)
+        sim.run()
+        assert link.capacity == 100.0
+        assert flow.end_time == pytest.approx(1.0)
 
     def test_negative_bytes(self):
         net = FlowNetwork(Simulator())

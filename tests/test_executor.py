@@ -1,6 +1,10 @@
 """Tests for the cache-aware sweep executor and driver determinism."""
 
+import concurrent.futures
 import os
+import subprocess
+import sys
+import time
 import uuid
 import warnings
 
@@ -11,14 +15,28 @@ from repro.experiments import figures
 from repro.experiments.executor import (
     SweepTask,
     default_parallelism,
+    env_mode_context,
     pool_chunksize,
     resolve_cache_context,
     run_sweep,
 )
+from repro.observe.export import load_jsonl
+from repro.tools.tracereport import main as tracereport_main
 
 
 def _square(x):
     return x * x
+
+
+def _fail_on_two(x):
+    if x == 2:
+        raise ValueError(f"task {x} failed")
+    return x * x
+
+
+def _sleep_value(duration, value):
+    time.sleep(duration)
+    return value
 
 
 def _pid_and_value(x):
@@ -123,6 +141,30 @@ class TestRunSweep:
 
     def test_empty_sweep(self):
         assert run_sweep([]) == []
+
+    def test_serial_sweep_never_loads_the_pool_machinery(self):
+        code = ("import sys\n"
+                "from repro.experiments import figures\n"
+                "from repro.experiments.executor import SweepTask, run_sweep\n"
+                "assert run_sweep([SweepTask(abs, (-2,))] * 2, parallel=1,"
+                " cache=False) == [2, 2]\n"
+                "assert 'concurrent.futures.process' not in sys.modules\n")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       timeout=120)
+
+    @pytest.mark.parametrize("parallel", [1, 2], ids=["serial", "pool"])
+    def test_task_error_propagates(self, tmp_path, monkeypatch, parallel):
+        # The task's own exception reaches the caller from either path;
+        # serially, the points before it are already in the store.
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        cache = ResultCache(str(tmp_path / "cache"), fingerprint="fp")
+        tasks = [SweepTask(_fail_on_two, (i,)) for i in range(4)]
+        with pytest.raises(ValueError, match="task 2 failed"):
+            run_sweep(tasks, parallel=parallel, cache=cache, chunksize=1)
+        if parallel == 1:
+            assert cache.stats.writes == 2
+            assert run_sweep(tasks[:2], parallel=1, cache=cache) == [0, 1]
+            assert cache.stats.hits == 2
 
     def test_env_default_applies(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "2")
@@ -251,6 +293,55 @@ class TestRunSweepCache:
         run_sweep(tasks, parallel=1, cache=False)
         run_sweep(tasks, parallel=1, cache=False)
         assert _calls(marker) == 4
+
+    def test_warm_cache_never_creates_a_pool(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        cache = self._cache(tmp_path)
+        tasks = [SweepTask(_square, (i,)) for i in range(3)]
+        cold = run_sweep(tasks, parallel=1, cache=cache)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("process pool created on a warm sweep")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            no_pool)
+        warm = run_sweep(tasks, parallel=2, cache=cache)
+        assert warm == cold
+        assert cache.stats.hits == 3
+
+    def test_cache_context_not_mutated(self, tmp_path, monkeypatch):
+        # Regression: _resolve_cache used to assign cache.context in
+        # place, freezing the first call's env modes into a reused
+        # store. The store's context must survive untouched...
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        cache = self._cache(tmp_path)
+        run_sweep([SweepTask(_square, (1,))], parallel=1, cache=cache)
+        assert cache.context is None
+        # ...and an explicit context must be respected, not replaced.
+        pinned = ResultCache(str(tmp_path / "cache2"), fingerprint="fp",
+                             context={"pinned": True})
+        run_sweep([SweepTask(_square, (1,))], parallel=1, cache=pinned)
+        assert pinned.context == {"pinned": True}
+        assert resolve_cache_context(pinned) == {"pinned": True}
+
+    def test_context_follows_env_between_sweeps(self, tmp_path,
+                                                monkeypatch):
+        # Flipping a mode knob between sweeps over one long-lived store
+        # must change the keys (miss), not serve the other mode's
+        # results (hit).
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        monkeypatch.delenv("REPRO_FAST", raising=False)
+        cache = self._cache(tmp_path)
+        tasks = [SweepTask(_square, (i,)) for i in range(2)]
+        run_sweep(tasks, parallel=1, cache=cache)
+        assert cache.stats.misses == 2
+        monkeypatch.setenv("REPRO_FAST", "1")
+        assert resolve_cache_context(cache) == env_mode_context()
+        run_sweep(tasks, parallel=1, cache=cache)
+        assert cache.stats.misses == 4, \
+            "REPRO_FAST flip must invalidate, not hit"
+        run_sweep(tasks, parallel=1, cache=cache)
+        assert cache.stats.hits == 2
 
 
 class TestDriverDeterminism:
@@ -382,6 +473,30 @@ class TestSweepProgress:
         self._assert_single_path(events, 4)
         assert all(e.source == "cache" for e in events)
 
+    @pytest.mark.parametrize("parallel, site", [(1, "serial/"),
+                                                (2, "pool/")],
+                             ids=["serial", "pool"])
+    def test_progress_carries_worker_and_duration(self, parallel, site):
+        tasks = [SweepTask(_square, (i,)) for i in range(4)]
+        _results, events = self._run(tasks, parallel=parallel, cache=False)
+        self._assert_single_path(events, 4)
+        assert all(e.worker.startswith(site) for e in events)
+        assert all(e.duration >= 0.0 for e in events)
+
+    def test_progress_completion_order_with_straggler(self):
+        # Chunks stream back as they finish, so the fast tasks' ticks
+        # arrive before the slow first task's, while the returned list
+        # stays in task order.
+        tasks = [SweepTask(_sleep_value, (0.6, "slow"))]
+        tasks += [SweepTask(_sleep_value, (0.0, f"f{i}"))
+                  for i in range(1, 5)]
+        results, events = self._run(tasks, parallel=2, chunksize=1,
+                                    cache=False)
+        assert results == ["slow", "f1", "f2", "f3", "f4"]
+        self._assert_single_path(events, 5)
+        assert events[-1].index == 0, (
+            f"straggler should tick last: {[e.index for e in events]}")
+
     def test_progress_counts_uncacheable_bypasses(self, tmp_path):
         cache = ResultCache(str(tmp_path / "store"))
         # an uncacheable argument (a set) cannot key the store: it must
@@ -393,3 +508,34 @@ class TestSweepProgress:
         self._assert_single_path(events, 2)
         assert events[-1].computed == 2
         assert cache.stats.bypasses == 1
+
+
+class TestTracedSweep:
+    """A traced sweep appends one ``backend`` event per sweep, which
+    ``tracereport --by backend`` reads."""
+
+    @pytest.mark.parametrize("parallel, actor", [(1, "serial"),
+                                                 (2, "process")],
+                             ids=["serial", "pool"])
+    def test_one_backend_event_per_sweep(self, tmp_path, monkeypatch,
+                                         capsys, parallel, actor):
+        monkeypatch.setenv("REPRO_TRACE", str(tmp_path))
+        tasks = [SweepTask(_square, (i,)) for i in range(3)]
+        for _ in range(2):
+            assert run_sweep(tasks, parallel=parallel, cache=False) \
+                == [0, 1, 4]
+        path = tmp_path / "sweep-backend.jsonl"
+        with open(path, encoding="utf-8") as fh:
+            events = load_jsonl(fh).events_in("backend")
+        assert [e.actor for e in events] == [actor, actor]
+        for event in events:
+            assert set(event.attrs) == {"total", "hits", "computed",
+                                        "workers"}
+            assert event.attrs["total"] == event.attrs["computed"] == 3
+            assert event.attrs["hits"] == 0
+            assert 1 <= event.attrs["workers"] <= parallel
+        assert tracereport_main(["--by", "backend", str(path)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].split() == ["backend", "sweeps", "total", "hits",
+                                    "computed", "workers"]
+        assert lines[-1].split()[:5] == [actor, "2", "6", "0", "6"]

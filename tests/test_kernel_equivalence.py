@@ -138,8 +138,7 @@ def test_compiled_kernel_bit_identical_figures(monkeypatch):
     from repro.experiments import figures
 
     # Full mode: the fast mode overrides Fig. 7's core counts.
-    for key in ("REPRO_FAST", "REPRO_PARALLEL", "REPRO_BACKEND",
-                "REPRO_TRACE"):
+    for key in ("REPRO_FAST", "REPRO_PARALLEL", "REPRO_TRACE"):
         monkeypatch.delenv(key, raising=False)
     monkeypatch.setenv("REPRO_CACHE", "0")
     rows = {}

@@ -148,10 +148,9 @@ class TestFiguresCLI:
         (["--kernel=python", "model"], {}, 0, {"REPRO_KERNEL": "python"}),
         (["model", "-h"], {}, 0, {}),
         (["--parallel", "0", "table1"], {}, 2, {}),
-        (["--backend", "remote", "--workers", "bogus", "table1"], {}, 2, {}),
         (["model"], {"REPRO_KERNEL": "rust"}, 2, {}),
     ], ids=["last-flag-wins", "equals-form", "help-after-figure",
-            "zero-workers", "bad-worker-address", "bad-env-kernel"])
+            "zero-workers", "bad-env-kernel"])
     def test_flags_from_the_knob_table(self, monkeypatch, capsys, argv,
                                        env, code, exported):
         # Every knob empty (= unset) through monkeypatch, so whatever the

@@ -9,10 +9,12 @@ exercises the full simulation engine end-to-end is marked ``slow``.
 """
 
 import os
+import socket
 
 import pytest
 
 from repro.cache import ResultCache
+from repro.service import http
 from repro.service.errors import (
     JobNotFinishedError,
     QuotaExceededError,
@@ -257,6 +259,21 @@ def test_stop_with_jobs_in_flight_leaves_no_orphans():
     for snap in snaps:
         job = fx.service.jobs[snap["job_id"]]
         assert job.state == "done"
+
+
+def test_silent_client_cannot_hold_stop(monkeypatch):
+    # A client that sends half a request head and goes quiet gets a 408
+    # once the read bound passes, so stop() does not wait on it forever.
+    monkeypatch.setattr(http, "_REQUEST_TIMEOUT_S", 1.0)
+    with ServiceFixture(runner=echo_runner, workers=1) as fx:
+        address = (fx.service.host, fx.service.port)
+        with socket.create_connection(address, timeout=10.0) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\n")
+            fx.wait_until(lambda: len(fx.service._conn_tasks) == 1)
+            # Raises TimeoutError if stop() is still waiting on the client.
+            fx.run(fx.service.stop(timeout=1.0), timeout=10.0)
+            reply = sock.recv(4096)
+        assert reply.startswith(b"HTTP/1.1 408 ")
 
 
 # --------------------------------------------------------------------- #

@@ -3,8 +3,10 @@
 Covers the pieces :mod:`repro.service.server` composes: the priority
 queue's ordering/cancellation/close semantics, token-bucket arithmetic
 under an injected clock, quota admission, the Prometheus registry's
-exposition format, typed-error wire round-trips, and job payload
-validation. The full wire path is exercised in ``test_service.py``.
+exposition format, typed-error wire round-trips, job payload
+validation, and fuzzing of the two parsers untrusted bytes reach (the
+HTTP request reader and the job payload validator). The full wire path
+is exercised in ``test_service.py``.
 """
 
 import asyncio
@@ -12,7 +14,10 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.service import http
 from repro.service.errors import (
     InvalidSpecError,
     JobNotFinishedError,
@@ -29,6 +34,7 @@ from repro.service.jobs import Job, validate_job_payload
 from repro.service.metrics import MetricsRegistry
 from repro.service.queue import JobQueue, QueueClosed
 from repro.service.quotas import QuotaManager, TenantPolicy, TokenBucket
+from repro.service.server import SweepService
 from repro.service.testing import FakeClock, make_spec
 
 
@@ -334,3 +340,114 @@ def test_job_progress_and_events():
     assert dones == [1, 2, 3]  # strictly monotonic
     assert job.events_since(3) == job.events[4:]
     assert job.events_since(-5) == job.events
+
+
+# --------------------------------------------------------------------- #
+# Untrusted input: the HTTP reader and the payload validator
+# --------------------------------------------------------------------- #
+_REQUEST = (b"POST /v1/jobs?tenant=t HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: 13\r\n\r\n{\"specs\": []}")
+
+_OVERSIZED = [
+    b"GET / HTTP/1.1\r\nX-Big: " + b"a" * 40_000 + b"\r\n\r\n",
+    b"GET / HTTP/1.1\r\nX-Big: " + b"a" * 70_000,
+    b"POST / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n",
+]
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=12),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=12), children,
+                                        max_size=4)),
+    max_leaves=16)
+
+
+def _read(data):
+    """``read_request`` over ``data`` then EOF; only a ``Request``,
+    ``None`` or a 4xx ``HttpError`` may come out."""
+    async def scenario():
+        reader = asyncio.StreamReader()
+        reader.feed_data(data)
+        reader.feed_eof()
+        return await http.read_request(reader)
+
+    try:
+        request = run(scenario())
+    except http.HttpError as exc:
+        assert 400 <= exc.status < 500, exc.status
+        return exc
+    assert request is None or isinstance(request, http.Request)
+    return request
+
+
+@st.composite
+def _submissions(draw):
+    """A valid submission with up to three fields swapped for arbitrary
+    JSON, so the fuzz reaches the spec, strategy and fault checks."""
+    fault = {"kind": "straggler", "time": 1.0, "duration": 1.0,
+             "factor": 2.0, "nodes": [0]}
+    spec = make_spec(kind="collective", faults={"faults": [fault]})
+    payload = {"specs": [spec], "priority": 0, "label": "", "tenant": "t"}
+    slots = ([(payload, key) for key in list(payload)]
+             + [(spec, key) for key in list(spec)]
+             + [(spec["strategy"], key)
+                for key in ("kind", "compression", "stripe_size")]
+             + [(spec["faults"], "faults")]
+             + [(fault, key) for key in list(fault)])
+    for container, key in draw(st.lists(st.sampled_from(slots),
+                                        max_size=3)):
+        container[key] = draw(_JSON)
+    return payload
+
+
+def test_read_request_parses_a_whole_request():
+    request = _read(_REQUEST)
+    assert isinstance(request, http.Request)
+    assert (request.method, request.path) == ("POST", "/v1/jobs")
+    assert request.query == {"tenant": "t"}
+    assert request.json() == {"specs": []}
+    assert _read(b"") is None
+    for data in _OVERSIZED:
+        assert _read(data).status == 413
+    assert _read(b"GET //[x HTTP/1.1\r\n\r\n").status == 400
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=256),
+    st.integers(0, len(_REQUEST)).map(lambda cut: _REQUEST[:cut]),
+    st.tuples(st.integers(0, len(_REQUEST)), st.binary(max_size=32))
+    .map(lambda cut: _REQUEST[:cut[0]] + cut[1] + _REQUEST[cut[0]:]),
+    st.tuples(st.sampled_from(["", "/", "//", "http://"]),
+              st.text("/[]:?#%@&=a ", max_size=16))
+    .map(lambda target: f"GET {''.join(target)} HTTP/1.1\r\n\r\n"
+         .encode()),
+    st.sampled_from(_OVERSIZED)))
+def test_read_request_fuzz(data):
+    _read(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_JSON, _submissions()))
+def test_validate_payload_fuzz(payload):
+    try:
+        validate_job_payload(payload)
+    except InvalidSpecError:
+        pass
+
+
+def test_validate_payload_deeply_nested_value():
+    deep = []
+    for _ in range(100_000):
+        deep = [deep]
+    with pytest.raises(InvalidSpecError, match="nested too deeply"):
+        validate_job_payload({"specs": [make_spec(preset=deep)]})
+
+
+def test_deeply_nested_json_body_is_a_400():
+    service = SweepService(cache=False)
+    request = http.Request("POST", "/v1/jobs", body=b"[" * 200_000)
+    reply = run(service._dispatch(request))
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert b"nested too deeply" in reply
