@@ -14,6 +14,8 @@ from repro.cache import ResultCache
 from repro.experiments import figures
 from repro.experiments.executor import (
     SweepTask,
+    _run_pool,
+    _run_serial,
     default_parallelism,
     env_mode_context,
     pool_chunksize,
@@ -171,6 +173,36 @@ class TestRunSweep:
         tasks = [SweepTask(_pid_and_value, (i,)) for i in range(2)]
         results = run_sweep(tasks)
         assert all(pid != os.getpid() for pid, _value in results)
+
+
+class TestDispatch:
+    """The two paths ``run_sweep`` dispatches its cache misses to,
+    driven directly."""
+
+    def test_serial_outcomes(self):
+        pending = [(i, SweepTask(_square, (i,))) for i in range(4)]
+        outcomes = list(_run_serial(pending))
+        assert [index for index, _, _, _ in outcomes] == [0, 1, 2, 3]
+        assert [value for _, value, _, _ in outcomes] == [0, 1, 4, 9]
+        assert all(worker == f"serial/{os.getpid()}"
+                   for _, _, worker, _ in outcomes)
+        assert all(duration >= 0.0 for _, _, _, duration in outcomes)
+
+    def test_head_of_line_completion_order(self):
+        # Regression: map() yielded in submission order, so the slow
+        # first task held back every later completion. The pool path
+        # must yield the fast tasks before the straggler finishes.
+        pending = [(0, SweepTask(_sleep_value, (1.0, "slow")))]
+        pending += [(i, SweepTask(_sleep_value, (0.0, f"fast{i}")))
+                    for i in range(1, 6)]
+        outcomes = list(_run_pool(pending, 2, chunksize=1))
+        order = [index for index, _, _, _ in outcomes]
+        assert order[-1] == 0, f"straggler should finish last: {order}"
+        assert sorted(order) == list(range(6))
+        assert {index: value for index, value, _, _ in outcomes} == {
+            0: "slow", **{i: f"fast{i}" for i in range(1, 6)}}
+        assert all(worker.startswith("pool/")
+                   for _, _, worker, _ in outcomes)
 
 
 class TestRunSweepCache:
