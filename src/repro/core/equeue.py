@@ -7,21 +7,24 @@ server's event-processing engine pulls them in order.
 
 The message classes are shared by the DES back-end (where the queue is a
 :class:`repro.des.resources.Store`) and the threaded runtime (a deque +
-condition variable).
+condition variable). They are immutable named tuples
+(:class:`typing.NamedTuple`): every ``df_write`` builds one, and a named
+tuple costs about half what a frozen dataclass does to construct (whose
+``__init__`` sets each field through ``object.__setattr__``). Like any
+tuple, a message compares equal to a plain tuple of its values; the
+servers dispatch on its class with ``isinstance``, never by comparing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.core.shm import Block
 
 __all__ = ["WriteNotification", "UserEvent", "EndOfIteration", "Shutdown"]
 
 
-@dataclass(frozen=True)
-class WriteNotification:
+class WriteNotification(NamedTuple):
     """`df_write` completed: ``variable`` for ``iteration`` from ``source``
     is in shared memory at ``block``. ``client`` is the node-local client
     index (the allocator's region key for the lock-free algorithm).
@@ -37,8 +40,7 @@ class WriteNotification:
     shape: Optional[tuple] = None
 
 
-@dataclass(frozen=True)
-class UserEvent:
+class UserEvent(NamedTuple):
     """`df_signal`: fire the action configured for ``name``."""
 
     name: str
@@ -46,16 +48,14 @@ class UserEvent:
     source: int
 
 
-@dataclass(frozen=True)
-class EndOfIteration:
+class EndOfIteration(NamedTuple):
     """Internal marker the server synthesises when every client of the
     node has signalled the end of ``iteration``."""
 
     iteration: int
 
 
-@dataclass(frozen=True)
-class Shutdown:
+class Shutdown(NamedTuple):
     """`df_finalize` from the last client: drain and stop the server."""
 
     source: int = -1

@@ -9,7 +9,7 @@ data stay in shared memory until actions are performed on them."*
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.shm import Block
@@ -19,9 +19,10 @@ from repro.formats.layout import Layout
 __all__ = ["StoredVariable", "VariableStore"]
 
 
-@dataclass
+@dataclass(slots=True)
 class StoredVariable:
-    """One buffered variable instance awaiting action."""
+    """One buffered variable instance awaiting action (mutable: plugins
+    set :attr:`processed_bytes`)."""
 
     name: str
     iteration: int

@@ -15,8 +15,7 @@ wraps them in real locks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ShmAllocationError
 
@@ -24,9 +23,9 @@ __all__ = ["Block", "SharedMemorySegment", "MutexAllocator",
            "PartitionedAllocator"]
 
 
-@dataclass(frozen=True)
-class Block:
-    """A reserved region of the shared buffer."""
+class Block(NamedTuple):
+    """A reserved region of the shared buffer (an immutable named tuple,
+    built once per write)."""
 
     offset: int
     size: int

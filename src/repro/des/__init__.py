@@ -3,8 +3,8 @@
 A small, fast, dependency-free DES in the style of SimPy, tailored to the
 needs of the cluster/file-system models in this package:
 
-- :class:`~repro.des.core.Simulator` — the event loop (one binary heap)
-  and simulated clock;
+- :class:`~repro.des.core.Simulator` — the event loop (a binary heap
+  plus a FIFO lane for same-instant entries) and simulated clock;
 - :class:`~repro.des.core.Event`, :class:`~repro.des.core.Timeout` — the
   primitive awaitables;
 - :class:`~repro.des.process.Process` — generator-coroutine processes that

@@ -955,8 +955,8 @@ class FlowNetwork:
         fire times live in a min-heap, so arming and the tick itself are
         O(log pending) instead of a linear ``min()`` + ``remove()``.
         """
-        # Same float expression as Simulator._schedule uses, so the tick
-        # fires at a bit-identical timestamp to a delay-scheduled event.
+        # Same float expression as Event.succeed and Timeout use, so the
+        # tick fires at a bit-identical timestamp to a delayed event.
         t_abs = self.sim.now + t_next
         self._tick_target = t_abs
         heap = self._tick_heap

@@ -88,7 +88,6 @@ __all__ = [
     "compiled_kernel",
     "kernel_status",
     "maxmin_class_solve_np",
-    "maxmin_class_solve_py",
     "next_finish_np",
     "resolve_kernel",
 ]
@@ -609,185 +608,6 @@ def next_finish_np(idx: np.ndarray, remaining: np.ndarray,
     with np.errstate(divide="ignore"):
         finish = remaining[idx] / rate[idx]
     return float(finish.min())
-
-
-# --------------------------------------------------------------------- #
-# the scalar spec (the C kernel's executable specification)
-# --------------------------------------------------------------------- #
-def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
-                          class_cap: np.ndarray, capacities: np.ndarray,
-                          fairness_slack: float, rate_out: np.ndarray,
-                          cap_used_out: np.ndarray, class_map: np.ndarray,
-                          res_map: np.ndarray) -> int:
-    """Scalar-loop water-filling: the C kernel's algorithm in Python.
-
-    Never on a simulation path: it is the executable specification the
-    equivalence tests diff the C kernel against bit-for-bit, written
-    statement for statement like the C source (arrays and scalars only)
-    so a divergence points at one line; only the indirection differs:
-    the C kernel reads flow ``f``'s class as ``slot_class[slots[f]]``
-    and writes its rate to ``rate_out[slots[f]]``, so a network solves
-    its active slots in place (:meth:`MaxminKernel.solve` passes
-    ``slots = 0..n-1``). ``class_map`` and ``res_map`` are the scratch
-    maps (all -1 on entry and on return); ``cap_used_out`` is written
-    for the touched capacities only.
-    """
-    nflows = flow_class.shape[0]
-    kmax = class_res.shape[1]
-    batch = 1.0 + fairness_slack + 1e-12
-
-    if nflows == 0:
-        return 0
-
-    # number the classes present, in first-appearance order
-    present = np.empty(nflows, dtype=np.int64)
-    inverse = np.empty(nflows, dtype=np.int64)
-    nclasses = 0
-    for f in range(nflows):
-        cid = flow_class[f]
-        c = class_map[cid]
-        if c < 0:
-            c = nclasses
-            class_map[cid] = c
-            present[nclasses] = cid
-            nclasses += 1
-        inverse[f] = c
-
-    # compact the class rows onto the touched capacities
-    touched = np.empty(nclasses * kmax, dtype=np.int64)
-    ntouched = 0
-    cres = np.empty((nclasses, kmax), dtype=np.int64)
-    ccap = np.empty(nclasses, dtype=np.float64)
-    for c in range(nclasses):
-        cid = present[c]
-        k = 0
-        while k < kmax:
-            r = class_res[cid, k]
-            if r < 0:
-                break
-            j = res_map[r]
-            if j < 0:
-                j = ntouched
-                res_map[r] = j
-                touched[ntouched] = r
-                ntouched += 1
-            cres[c, k] = j
-            k += 1
-        while k < kmax:
-            cres[c, k] = -1
-            k += 1
-        ccap[c] = class_cap[cid]
-
-    cmult = np.zeros(nclasses, dtype=np.float64)
-    crate = np.zeros(nclasses, dtype=np.float64)
-    cand = np.zeros(nclasses, dtype=np.float64)
-    cstart = np.zeros(nclasses + 1, dtype=np.int64)
-    for f in range(nflows):
-        c = inverse[f]
-        cmult[c] += 1.0
-        cstart[c + 1] += 1
-    for c in range(nclasses):
-        cstart[c + 1] += cstart[c]
-    cfill = cstart[:nclasses].copy()
-    members = np.empty(nflows, dtype=np.int64)
-    for f in range(nflows):
-        c = inverse[f]
-        members[cfill[c]] = f
-        cfill[c] += 1
-
-    unf = np.arange(nclasses, dtype=np.int64)
-    n_unf = nclasses
-    cap_rem = np.empty(ntouched, dtype=np.float64)
-    for j in range(ntouched):
-        cap_rem[j] = capacities[touched[j]]
-    counts = np.zeros(ntouched, dtype=np.float64)
-    consumed = np.zeros(ntouched, dtype=np.float64)
-    newly = np.empty(nclasses, dtype=np.int64)
-    buf = np.empty(nflows, dtype=np.int64)
-    rounds = 0
-
-    for _ in range(nclasses + ntouched + 1):
-        if n_unf == 0:
-            break
-        have_res = False
-        for j in range(ntouched):
-            counts[j] = 0.0
-        for ui in range(n_unf):
-            c = unf[ui]
-            for k in range(kmax):
-                j = cres[c, k]
-                if j < 0:
-                    break
-                counts[j] += cmult[c]
-                have_res = True
-        if not have_res:
-            for ui in range(n_unf):
-                c = unf[ui]
-                crate[c] = ccap[c]
-            break
-        s_star = np.inf
-        for ui in range(n_unf):
-            c = unf[ui]
-            cd = np.inf
-            for k in range(kmax):
-                j = cres[c, k]
-                if j < 0:
-                    break
-                rem = cap_rem[j]
-                if rem < 0.0:
-                    rem = 0.0
-                sh = rem / counts[j]
-                if sh < cd:
-                    cd = sh
-            if ccap[c] < cd:
-                cd = ccap[c]
-            cand[c] = cd
-            if cd < s_star:
-                s_star = cd
-        thresh = s_star * batch
-        n_new = 0
-        m = 0
-        wi = 0
-        for ui in range(n_unf):
-            c = unf[ui]
-            if cand[c] <= thresh:
-                crate[c] = cand[c]
-                newly[n_new] = c
-                n_new += 1
-            else:
-                unf[wi] = c
-                wi += 1
-        n_unf = wi
-        for j in range(ntouched):
-            consumed[j] = 0.0
-        for i in range(n_new):
-            c = newly[i]
-            for p in range(cstart[c], cstart[c + 1]):
-                buf[m] = members[p]
-                m += 1
-        frozen_flows = np.sort(buf[:m]) if n_new > 1 else buf[:m]
-        for f in frozen_flows:
-            c = inverse[f]
-            rr = crate[c]
-            for k in range(kmax):
-                j = cres[c, k]
-                if j < 0:
-                    break
-                consumed[j] += rr
-        for j in range(ntouched):
-            cap_rem[j] -= consumed[j]
-        rounds += 1
-
-    for f in range(nflows):
-        rr = crate[inverse[f]]
-        rate_out[f] = rr if rr > 1e-12 else 1e-12
-    for j in range(ntouched):
-        cap_used_out[touched[j]] = capacities[touched[j]] - cap_rem[j]
-    for c in range(nclasses):
-        class_map[present[c]] = -1
-    for j in range(ntouched):
-        res_map[touched[j]] = -1
-    return rounds
 
 
 class MaxminKernel:

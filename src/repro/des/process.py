@@ -6,7 +6,7 @@ processed, then resumes with the event's value (or the event's exception is
 thrown into the generator). The process itself is an event that succeeds
 with the generator's return value, so processes can wait on each other.
 
-A process costs a heap entry to start and an event to finish. A child
+A process costs a queue entry to start and an event to finish. A child
 its parent only waits on needs neither: ``value = yield from child``
 runs it inside the parent's steps, at the same simulated times. Spawn a
 process for what runs concurrently with its creator (rank programs,
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, List, Optional
 
-from repro.des.core import PRIORITY_NORMAL, Event, Simulator
+from repro.des.core import _PROCESSED, PRIORITY_NORMAL, Event, Simulator
 from repro.errors import ProcessKilled, SimulationError
 
 __all__ = ["Process", "Interrupt", "AnyOf", "AllOf"]
@@ -56,7 +56,7 @@ class Process(Event):
         self._generator = generator
         self._waiting_on: Event | None = None
         self._alive = True
-        # The first step is a bare heap entry at (now, normal priority),
+        # The first step is a bare queue entry at (now, normal priority),
         # so processes start in creation order.
         sim._push(sim._now, PRIORITY_NORMAL, self._bootstrap)
 
@@ -104,6 +104,12 @@ class Process(Event):
         self._step(None, None)
 
     def _resume(self, event: Event) -> None:
+        if event is not self._waiting_on:
+            # An earlier callback of this same event interrupted or
+            # killed the process after the event had taken its callback
+            # list, so removing this one came too late: the process no
+            # longer waits on the event.
+            return
         self._waiting_on = None
         exc = event._exception
         if exc is None:
@@ -141,7 +147,7 @@ class Process(Event):
             self.fail(SimulationError(
                 f"process yielded {target!r}, expected an Event"))
             return
-        if target.processed:
+        if target._state == _PROCESSED:
             # Already done: resume on the next step to preserve FIFO order.
             wakeup = Event(self.sim)
             self._waiting_on = wakeup

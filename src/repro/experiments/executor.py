@@ -237,7 +237,8 @@ def run_sweep(tasks: Iterable[SweepTask],
     ``ProcessPoolExecutor`` of ``min(parallel, misses)`` workers, in
     chunks of ``chunksize`` tasks (``None``: :func:`pool_chunksize`).
     Cache hits never reach a worker — with a fully warm cache no pool
-    is spawned. A task that raises propagates its exception.
+    is spawned. A task that raises propagates its exception; the
+    results already written back stay in the store and its index.
 
     ``cache=None`` consults the environment (``REPRO_CACHE`` /
     ``REPRO_CACHE_DIR``); ``cache=False`` forces caching off; an
@@ -335,6 +336,9 @@ def run_sweep(tasks: Iterable[SweepTask],
                     })
         finally:
             outcomes.close()  # shut a pool down even if a consumer raised
+            if store is not None:
+                # Index what was written back, even when a task raised.
+                store.flush()
         if trace_dir:
             _trace_sweep(actor, trace_dir, total, hits, computed_count,
                          len(sites))

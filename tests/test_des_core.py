@@ -1,9 +1,15 @@
 """Unit tests for the DES kernel: Simulator, Event, Timeout."""
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import Simulator
-from repro.des.core import Event, Timeout, PRIORITY_URGENT, PRIORITY_LATE
+from repro.des.core import (Event, Timeout, PRIORITY_FAULT, PRIORITY_LATE,
+                            PRIORITY_NORMAL, PRIORITY_URGENT)
 from repro.errors import SimulationError
 
 
@@ -332,3 +338,72 @@ class TestSlimCallbacks:
         sim.run()
         assert seen == ["urgent", "normal-a", "normal-b", "late", "t2"]
         assert sim.now == 2.0
+
+
+# One scheduling call: (kind, delay, priority, the calls its callback
+# issues when it runs). A timeout always takes normal priority.
+_CALL = st.tuples(
+    st.sampled_from(["call_later", "call_at", "timeout", "succeed"]),
+    st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
+    st.sampled_from([PRIORITY_FAULT, PRIORITY_URGENT, PRIORITY_NORMAL,
+                     PRIORITY_LATE]))
+_PROGRAM = st.lists(
+    st.recursive(
+        _CALL.map(lambda call: call + ((),)),
+        lambda children: st.tuples(_CALL, st.lists(children, max_size=3))
+        .map(lambda pair: pair[0] + (tuple(pair[1]),)),
+        max_leaves=24),
+    min_size=1, max_size=8)
+
+
+class TestQueueOrderProperty:
+    """Whatever mix of scheduling calls a program makes, and whether a
+    call comes from the top level or from a callback at the current
+    instant, entries pop in (time, priority, push index) order, and
+    ``peek``, ``queue_depth`` and ``_heap`` describe that same queue at
+    every step. The lane for same-instant normal entries must not show."""
+
+    @given(program=_PROGRAM)
+    @settings(max_examples=300, deadline=None)
+    def test_pop_order_matches_reference(self, program):
+        sim = Simulator()
+        pending = []  # reference queue: (time, priority, push index)
+        popped = []
+        pushes = itertools.count(1)
+
+        def issue(call):
+            kind, delay, priority, children = call
+            if kind == "timeout":
+                priority = PRIORITY_NORMAL
+            key = (sim.now + delay, priority, next(pushes))
+
+            def fire(*_event):
+                popped.append(key)
+                for child in children:
+                    issue(child)
+
+            if kind == "call_later":
+                sim.call_later(delay, fire, priority=priority)
+            elif kind == "call_at":
+                sim.call_at(sim.now + delay, fire, priority=priority)
+            elif kind == "timeout":
+                sim.timeout(delay).callbacks.append(fire)
+            else:
+                event = sim.event()
+                event.callbacks.append(fire)
+                event.succeed(delay=delay, priority=priority)
+            pending.append(key)
+
+        for call in program:
+            issue(call)
+        while pending:
+            expected = sorted(pending)
+            assert sim.queue_depth == len(expected)
+            assert sim.peek() == expected[0][0]
+            assert [entry[:3] for entry in sim._heap] == expected
+            sim.step()
+            assert popped[-1] == expected[0]
+            assert sim.now == expected[0][0]
+            pending.remove(expected[0])
+        assert sim.queue_depth == 0 and sim.peek() == math.inf
+        assert sim._heap == []

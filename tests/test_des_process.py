@@ -158,6 +158,36 @@ class TestInterrupt:
         sim.run()
         assert log == [3.0]
 
+    def test_interrupt_from_a_callback_of_the_awaited_event(self):
+        # The interrupter waits on the same event and resumes first, so
+        # it interrupts the victim while that event's callbacks run. The
+        # victim gets the interrupt at the yield it was waiting at, not
+        # the event's value followed by the interrupt at its next yield.
+        sim = Simulator()
+        gate = sim.event()
+        log = []
+
+        def interrupter():
+            yield gate
+            victim.interrupt(cause="stop")
+
+        def waiter():
+            try:
+                log.append(("value", (yield gate), sim.now))
+            except Interrupt as interrupt:
+                log.append(("interrupt", interrupt.cause, sim.now))
+            try:
+                yield sim.timeout(5.0)
+                log.append(("timeout", sim.now))
+            except Interrupt as interrupt:
+                log.append(("late interrupt", interrupt.cause, sim.now))
+
+        sim.process(interrupter())
+        victim = sim.process(waiter())
+        sim.call_later(1.0, lambda: gate.succeed("open"))
+        sim.run()
+        assert log == [("interrupt", "stop", 1.0), ("timeout", 6.0)]
+
 
 class TestKill:
     def test_kill_stops_execution(self):

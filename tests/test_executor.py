@@ -36,6 +36,14 @@ def _fail_on_two(x):
     return x * x
 
 
+def _fail_on_two_late(x):
+    """Like :func:`_fail_on_two`, but task 2 raises only after a pause,
+    so a pool has written its fast peers back by then."""
+    if x == 2:
+        time.sleep(0.5)
+    return _fail_on_two(x)
+
+
 def _sleep_value(duration, value):
     time.sleep(duration)
     return value
@@ -167,6 +175,25 @@ class TestRunSweep:
             assert cache.stats.writes == 2
             assert run_sweep(tasks[:2], parallel=1, cache=cache) == [0, 1]
             assert cache.stats.hits == 2
+
+    @pytest.mark.parametrize("parallel", [1, 2], ids=["serial", "pool"])
+    def test_index_flushed_when_a_task_raises(self, tmp_path, monkeypatch,
+                                              parallel):
+        # The points written back before a task raised are in the
+        # store's advisory index and run totals, not only on disk.
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        root = str(tmp_path / "cache")
+        cache = ResultCache(root, fingerprint="fp")
+        tasks = [SweepTask(_fail_on_two_late, (i,)) for i in range(4)]
+        with pytest.raises(ValueError, match="task 2 failed"):
+            run_sweep(tasks, parallel=parallel, cache=cache, chunksize=1)
+        reopened = ResultCache(root, fingerprint="fp")
+        on_disk = sorted(info.key for info in reopened.entries())
+        assert len(on_disk) >= 2
+        assert sorted(reopened.load_index()["entries"]) == on_disk
+        totals = reopened.totals()
+        assert totals["misses"] == 4
+        assert totals["writes"] == len(on_disk)
 
     def test_env_default_applies(self, monkeypatch):
         monkeypatch.setenv("REPRO_PARALLEL", "2")
