@@ -341,7 +341,7 @@ class TestSlimCallbacks:
 
 
 # One scheduling call: (kind, delay, priority, the calls its callback
-# issues when it runs). A timeout always takes normal priority.
+# makes when it runs). A timeout always takes normal priority.
 _CALL = st.tuples(
     st.sampled_from(["call_later", "call_at", "timeout", "succeed"]),
     st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.5]),
@@ -371,7 +371,7 @@ class TestQueueOrderProperty:
         popped = []
         pushes = itertools.count(1)
 
-        def issue(call):
+        def schedule(call):
             kind, delay, priority, children = call
             if kind == "timeout":
                 priority = PRIORITY_NORMAL
@@ -380,7 +380,7 @@ class TestQueueOrderProperty:
             def fire(*_event):
                 popped.append(key)
                 for child in children:
-                    issue(child)
+                    schedule(child)
 
             if kind == "call_later":
                 sim.call_later(delay, fire, priority=priority)
@@ -395,7 +395,7 @@ class TestQueueOrderProperty:
             pending.append(key)
 
         for call in program:
-            issue(call)
+            schedule(call)
         while pending:
             expected = sorted(pending)
             assert sim.queue_depth == len(expected)
