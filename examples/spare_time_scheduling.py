@@ -7,8 +7,11 @@ the paper evaluates — lossless compression and contention-avoiding
 transfer-slot scheduling — and prints their effect on the dedicated-core
 write time and on storage volume (Figure 7's tradeoff).
 
-Run:  python examples/spare_time_scheduling.py
+Run:  python examples/spare_time_scheduling.py [cores]
+      (cores must be a multiple of 12; default 576, the paper's smallest)
 """
+
+import sys
 
 import numpy as np
 
@@ -20,27 +23,25 @@ from repro.formats.compression import GZIP_MODEL
 from repro.strategies import DamarisStrategy
 from repro.units import GB, fmt_time
 
-CORES = 576
 PHASES = 3
 
 
 def main() -> None:
+    ncores = int(sys.argv[1]) if len(sys.argv) > 1 else 576
     preset = kraken_preset()
     variants = [
         ("plain", DamarisStrategy()),
         ("+ scheduling", DamarisStrategy(
             options=DamarisOptions(use_scheduler=True))),
         ("+ gzip", DamarisStrategy(
-            compress_on_server=True,
             options=DamarisOptions(compression=GZIP_MODEL))),
         ("+ gzip + scheduling", DamarisStrategy(
-            compress_on_server=True,
             options=DamarisOptions(compression=GZIP_MODEL,
                                    use_scheduler=True))),
     ]
     rows = []
     for label, strategy in variants:
-        machine, fs, workload = preset.build(CORES, seed=9)
+        machine, fs, workload = preset.build(ncores, seed=9)
         result = run_experiment(machine, fs, workload, strategy,
                                 write_phases=PHASES)
         deployment = strategy.deployment

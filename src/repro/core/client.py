@@ -29,6 +29,11 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["DamarisClient"]
 
+#: Cost of one mutex-protected shm reservation (Boost allocator).
+MUTEX_LATENCY = 2.0e-6
+#: Cost of pushing one message onto the shared event queue.
+QUEUE_LATENCY = 1.0e-6
+
 
 class DamarisClient:
     """Handle used by one simulation core to talk to its node's server."""
@@ -124,15 +129,13 @@ class DamarisClient:
         """Process: allocate ``size`` bytes, blocking while the buffer is
         full; charges the allocator's serialisation cost."""
         sim = self.server.machine.sim
-        options = self.server.options
         mutex_based = self.server.segment.allocator.name == "mutex"
         stall_started = None
         while True:
             if mutex_based:
                 request = self.server.alloc_mutex.request()
                 yield request
-                if options.mutex_latency > 0:
-                    yield sim.timeout(options.mutex_latency)
+                yield sim.timeout(MUTEX_LATENCY)
                 block = self.server.segment.allocate(size,
                                                      client=self.local_id)
                 self.server.alloc_mutex.release(request)
@@ -154,9 +157,7 @@ class DamarisClient:
             yield self.server.wait_for_free()
 
     def _notify(self, message):
-        sim = self.server.machine.sim
-        if self.server.options.queue_latency > 0:
-            yield sim.timeout(self.server.options.queue_latency)
+        yield self.server.machine.sim.timeout(QUEUE_LATENCY)
         yield self.server.queue.put(message)
 
     def _check_live(self) -> None:

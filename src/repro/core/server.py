@@ -10,7 +10,7 @@ operations, bigger contiguous writes, no inter-node synchronisation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.config import DamarisConfig
@@ -23,7 +23,7 @@ from repro.core.shm import SharedMemorySegment
 from repro.des.core import Event
 from repro.des.resources import Resource, Store
 from repro.formats.compression import CompressionModel
-from repro.formats.hdf5model import HDF5CostModel
+from repro.formats.hdf5model import HDF5
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.machine import Machine
@@ -33,24 +33,19 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["DamarisOptions", "DedicatedCoreServer"]
 
 
+#: Where per-node files land inside the simulated file system.
+OUTPUT_DIR = "damaris"
+
+
 @dataclass
 class DamarisOptions:
-    """Deployment-wide tunables of the DES back-end."""
+    """Deployment-wide choices of the DES back-end (Section IV-D)."""
 
-    #: Post-process data with this model before writing (None = raw).
+    #: Model the ``compress`` action runs over each iteration (None =
+    #: that action persists raw data).
     compression: Optional[CompressionModel] = None
-    #: Stagger dedicated-core writes into slots (Section IV-D).
+    #: Stagger dedicated-core writes into slots.
     use_scheduler: bool = False
-    #: Format cost model for the persistency layer.
-    hdf5: HDF5CostModel = field(default_factory=HDF5CostModel)
-    #: Cost of one mutex-protected shm reservation (Boost allocator).
-    mutex_latency: float = 2.0e-6
-    #: Cost of pushing one message onto the shared event queue.
-    queue_latency: float = 1.0e-6
-    #: Where per-node files land inside the simulated file system.
-    output_dir: str = "damaris"
-    #: Stripe count for the per-node output files (None = fs default).
-    stripe_count: Optional[int] = None
 
 
 class DedicatedCoreServer:
@@ -197,17 +192,17 @@ class DedicatedCoreServer:
         busy_start = self.machine.sim.now
         raw = sum(entry.nbytes for entry in entries)
         out = sum(entry.output_bytes for entry in entries)
-        file_bytes = self.options.hdf5.file_bytes(out, len(entries))
+        file_bytes = HDF5.file_bytes(out, len(entries))
 
-        pack = self.options.hdf5.pack_time(out)
+        pack = HDF5.pack_time(out)
         if pack > 0:
             yield self.machine.sim.timeout(pack)
 
-        path = (f"{self.options.output_dir}/node{self.node.index}"
+        path = (f"{OUTPUT_DIR}/node{self.node.index}"
                 f"/core{self.core.index}/iter{iteration}.h5")
         sim = self.machine.sim
-        handle = yield from self.fs.create(
-            self.node, path, stripe_count=self.options.stripe_count)
+        # The file system's default striping.
+        handle = yield from self.fs.create(self.node, path)
         yield from self.fs.write(handle, 0, int(file_bytes), label="damaris")
         yield from self.fs.close(handle)
 

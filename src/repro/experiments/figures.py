@@ -61,17 +61,13 @@ def kraken_scales() -> Tuple[int, ...]:
     return (576, 2304, 9216)
 
 
-def _phases() -> int:
-    return 1 if fast_mode() else 2
-
-
 # ---------------------------------------------------------------------- #
 # Picklable sweep specs
 # ---------------------------------------------------------------------- #
 # A spec fully describes one experiment run as plain data so it can cross
-# a process boundary: {"preset": ..., "ncores": ..., "strategy": {...},
-# "seed": ..., optional "nvariables"/"write_phases"/"compression"}. The
-# spec vocabulary (validation, strategy construction, execution) lives in
+# a process boundary: {"preset": ..., "ncores": ..., "strategy": {"kind":
+# ..., per-kind fields}, "seed": ..., optional "nvariables"/"write_phases"}.
+# The spec vocabulary (validation, strategy construction, execution) lives in
 # :mod:`repro.experiments.specs`, shared with the repro.service job
 # server — a spec submitted over the wire runs exactly the code path a
 # figure driver fans out locally.
@@ -169,15 +165,10 @@ def fig3_blueprint_volume(ncores: int = 1024,
     preset = blueprint_preset()
     specs: List[Dict[str, Any]] = []
     for nvars in variable_counts:
-        specs.append({"preset": "blueprint", "ncores": ncores,
-                      "strategy": {"kind": "fpp", "compress": True},
-                      "seed": seed, "nvariables": nvars,
-                      "run_compression": "gzip"})
-        specs.append({"preset": "blueprint", "ncores": ncores,
-                      "strategy": {"kind": "damaris",
-                                   "compress_on_server": True,
-                                   "compression": "gzip"},
-                      "seed": seed, "nvariables": nvars})
+        for kind in ("fpp", "damaris"):
+            specs.append({"preset": "blueprint", "ncores": ncores,
+                          "strategy": {"kind": kind, "compression": "gzip"},
+                          "seed": seed, "nvariables": nvars})
     results = _sweep(specs, "fig3")
     for i, nvars in enumerate(variable_counts):
         workload = CM1Workload.blueprint(nvariables=nvars)
@@ -398,15 +389,14 @@ def fig7_spare_strategies(kraken_cores: int = 2304,
     configs = [
         ("plain", {"kind": "damaris"}),
         ("scheduler", {"kind": "damaris", "use_scheduler": True}),
-        ("gzip", {"kind": "damaris", "compress_on_server": True,
-                  "compression": "gzip"}),
-        ("gzip+sched", {"kind": "damaris", "compress_on_server": True,
-                        "compression": "gzip", "use_scheduler": True}),
+        ("gzip", {"kind": "damaris", "compression": "gzip"}),
+        ("gzip+sched", {"kind": "damaris", "compression": "gzip",
+                        "use_scheduler": True}),
     ]
     platforms = (("kraken", kraken_cores), ("grid5000", grid5000_cores))
     specs = [
         {"preset": platform, "ncores": ncores, "strategy": dict(strategy),
-         "seed": seed, "write_phases": max(2, _phases())}
+         "seed": seed, "write_phases": 2}
         for platform, ncores in platforms
         for _label, strategy in configs
     ]

@@ -26,8 +26,6 @@ from repro.apps.workload import CM1Workload
 from repro.cluster.machine import Machine
 from repro.des.process import AllOf
 from repro.errors import ReproError
-from repro.formats.compression import CompressionModel
-from repro.formats.hdf5model import HDF5CostModel
 from repro.mpi.comm import Communicator
 from repro.observe.tracer import Tracer
 from repro.storage.filesystem import ParallelFileSystem
@@ -181,9 +179,6 @@ class ExperimentResult:
 def run_experiment(machine: Machine, fs: ParallelFileSystem,
                    workload: CM1Workload, strategy: IOStrategy,
                    write_phases: int = 1,
-                   compression: Optional[CompressionModel] = None,
-                   hdf5: Optional[HDF5CostModel] = None,
-                   compute_blocks_per_phase: int = 1,
                    tracer: Optional[Tracer] = None,
                    faults=None) -> ExperimentResult:
     """Run ``write_phases`` output cycles of the workload under
@@ -217,8 +212,7 @@ def run_experiment(machine: Machine, fs: ParallelFileSystem,
     comm = Communicator(machine, compute_cores)
     ctx = StrategyContext(
         machine=machine, fs=fs, comm=comm, workload=workload,
-        dilation=dilation, compression=compression,
-        hdf5=hdf5 if hdf5 is not None else HDF5CostModel())
+        dilation=dilation)
     strategy.setup(ctx)
 
     injector = None
@@ -231,8 +225,7 @@ def run_experiment(machine: Machine, fs: ParallelFileSystem,
     rank_times = np.zeros((write_phases, nranks), dtype=float)
     phase_starts = np.zeros(write_phases, dtype=float)
     phase_ends = np.zeros(write_phases, dtype=float)
-    compute_seconds = (workload.compute_block_seconds(dilation)
-                       * compute_blocks_per_phase)
+    compute_seconds = workload.compute_block_seconds(dilation)
 
     def rank_program(rank: int):
         yield from strategy.rank_setup(ctx, rank)

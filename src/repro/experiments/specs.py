@@ -23,16 +23,35 @@ server — and always means the same experiment:
   content-addressed result cache.
 
 Optional spec fields: ``seed`` (int, default 42), ``write_phases``
-(int >= 1), ``nvariables`` (BluePrint workload variable count),
-``run_compression`` (harness-level compression model name),
-``faults`` (a :meth:`repro.faults.FaultSchedule.to_dict` payload) and
-``trace_label`` (names the trace file under ``REPRO_TRACE``).
+(int >= 1), ``nvariables`` (int, BluePrint's workload variable count;
+preset ``blueprint`` only), ``faults`` (a
+:meth:`repro.faults.FaultSchedule.to_dict` payload) and ``trace_label``
+(non-empty string; names the trace file under ``REPRO_TRACE``).
+
+Besides ``kind``, a strategy sub-spec takes only the fields its kind can
+honour (anything else is a :class:`SpecError`, so a spec never runs a
+different experiment than it asks for):
+
+==================================  ==================================
+kind                                fields
+==================================  ==================================
+``fpp``                             ``compression``
+``collective``                      ``stripe_size`` (int >= 1)
+``noio``                            —
+``damaris``, ``damaris_failover``   ``compression``, ``use_scheduler``
+==================================  ==================================
+
+``compression`` names a model (``gzip`` or ``gzip16``): file-per-process
+runs it on the compute cores inside the write phase, Damaris on the
+dedicated core. ``collective`` takes none — pHDF5 collective writes
+cannot compress (paper Section II-B). ``use_scheduler`` is a JSON
+boolean.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from repro import config
 from repro.apps.workload import CM1Workload
@@ -75,20 +94,23 @@ _COMPRESSION = {
     "gzip16": GZIP16_MODEL,
 }
 
+#: Fields each ``spec["strategy"]["kind"]`` takes besides ``kind``.
+_STRATEGY_FIELDS = {
+    "fpp": frozenset({"compression"}),
+    "collective": frozenset({"stripe_size"}),
+    "noio": frozenset(),
+    "damaris": frozenset({"compression", "use_scheduler"}),
+    "damaris_failover": frozenset({"compression", "use_scheduler"}),
+}
+
 #: Recognised ``spec["strategy"]["kind"]`` values.
-STRATEGY_KINDS = ("fpp", "collective", "noio", "damaris",
-                  "damaris_failover")
+STRATEGY_KINDS = tuple(_STRATEGY_FIELDS)
 
 #: Every key a spec may carry (anything else is a validation error —
 #: a typo like "ncore" must not silently describe a different run).
 _SPEC_KEYS = frozenset({
     "preset", "ncores", "strategy", "seed", "write_phases", "nvariables",
-    "run_compression", "faults", "trace_label",
-})
-
-_STRATEGY_KEYS = frozenset({
-    "kind", "compress", "stripe_size", "compression", "use_scheduler",
-    "compress_on_server",
+    "faults", "trace_label",
 })
 
 
@@ -118,8 +140,9 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
     """Check that ``spec`` is a well-formed sweep spec; return it.
 
     Raises :class:`SpecError` naming the first offending field. The
-    check is structural (types, known names, ranges) — it does not build
-    a machine, so it is cheap enough for a service admission path.
+    check is structural (types, known names, ranges, which fields apply
+    to which preset and strategy kind) — it does not build a machine,
+    so it is cheap enough for a service admission path.
     """
     if not isinstance(spec, dict):
         raise SpecError(f"a sweep spec is a dict, got {type(spec).__name__}")
@@ -136,27 +159,39 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
     strategy = spec["strategy"]
     if not isinstance(strategy, dict) or "kind" not in strategy:
         raise SpecError("spec['strategy'] must be a dict with a 'kind'")
-    if strategy["kind"] not in STRATEGY_KINDS:
+    _require_known(strategy, "kind", _STRATEGY_FIELDS)
+    kind = strategy["kind"]
+    inapplicable = set(strategy) - {"kind"} - _STRATEGY_FIELDS[kind]
+    if inapplicable:
         raise SpecError(
-            f"unknown strategy kind {strategy['kind']!r}; "
-            f"known: {sorted(STRATEGY_KINDS)}")
-    unknown = set(strategy) - _STRATEGY_KEYS
-    if unknown:
-        raise SpecError(
-            f"unknown strategy field(s): {sorted(unknown)} "
-            f"(known: {sorted(_STRATEGY_KEYS)})")
+            f"strategy kind {kind!r} does not take field(s) "
+            f"{sorted(inapplicable)} (it takes: "
+            f"{sorted(_STRATEGY_FIELDS[kind])})")
     if "compression" in strategy:
         _require_known(strategy, "compression", _COMPRESSION)
     if "stripe_size" in strategy:
         _require_int(strategy, "stripe_size", 1)
+    if "use_scheduler" in strategy \
+            and not isinstance(strategy["use_scheduler"], bool):
+        raise SpecError(
+            f"spec['strategy']['use_scheduler'] must be true or false, "
+            f"got {strategy['use_scheduler']!r}")
     if "seed" in spec:
         _require_int(spec, "seed", 0)
     if "write_phases" in spec:
         _require_int(spec, "write_phases", 1)
     if "nvariables" in spec:
+        if spec["preset"] != "blueprint":
+            raise SpecError(
+                f"spec['nvariables'] sets BluePrint's workload; preset "
+                f"{spec['preset']!r} does not take it")
         _require_int(spec, "nvariables", 1)
-    if "run_compression" in spec:
-        _require_known(spec, "run_compression", _COMPRESSION)
+    if "trace_label" in spec and (
+            not isinstance(spec["trace_label"], str)
+            or not spec["trace_label"]):
+        raise SpecError(
+            f"spec['trace_label'] must be a non-empty string, "
+            f"got {spec['trace_label']!r}")
     if "faults" in spec and spec["faults"]:
         from repro.faults import FaultSchedule
         from repro.faults.schedule import FaultScheduleError
@@ -167,38 +202,26 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
     return spec
 
 
-def _collective_for(preset: PlatformPreset,
-                    stripe_size: Optional[int] = None
-                    ) -> CollectiveIOStrategy:
-    return CollectiveIOStrategy(
-        mode=preset.collective_mode,
-        stripe_count=preset.collective_stripe_count,
-        stripe_size=stripe_size)
-
-
 def strategy_from_spec(spec: Dict[str, Any], preset: PlatformPreset):
     """Build the strategy object ``spec`` (a strategy sub-dict) names."""
     kind = spec["kind"]
+    compression = (_COMPRESSION[spec["compression"]]
+                   if "compression" in spec else None)
     if kind == "fpp":
-        return FilePerProcessStrategy(compress=spec.get("compress", False))
+        return FilePerProcessStrategy(compression=compression)
     if kind == "collective":
-        return _collective_for(preset, stripe_size=spec.get("stripe_size"))
+        return CollectiveIOStrategy(
+            mode=preset.collective_mode,
+            stripe_count=preset.collective_stripe_count,
+            stripe_size=spec.get("stripe_size"))
     if kind == "noio":
         return NoIOStrategy()
     if kind in ("damaris", "damaris_failover"):
-        options_kwargs: Dict[str, Any] = {}
-        if spec.get("compression"):
-            options_kwargs["compression"] = _COMPRESSION[spec["compression"]]
-        if spec.get("use_scheduler"):
-            options_kwargs["use_scheduler"] = True
-        strategy_kwargs: Dict[str, Any] = {}
-        if options_kwargs:
-            strategy_kwargs["options"] = DamarisOptions(**options_kwargs)
-        if spec.get("compress_on_server"):
-            strategy_kwargs["compress_on_server"] = True
         cls = (DamarisFailoverStrategy if kind == "damaris_failover"
                else DamarisStrategy)
-        return cls(**strategy_kwargs)
+        return cls(DamarisOptions(
+            compression=compression,
+            use_scheduler=spec.get("use_scheduler", False)))
     raise SpecError(f"unknown strategy kind: {kind!r}")
 
 
@@ -214,13 +237,8 @@ def run_spec(spec: Dict[str, Any]) -> ExperimentResult:
     :attr:`ExperimentResult.solver_stats` either way.
     """
     preset = PRESETS[spec["preset"]]()
-    workload = None
-    if "nvariables" in spec:
-        workload = CM1Workload.blueprint(nvariables=spec["nvariables"])
     strategy = strategy_from_spec(spec["strategy"], preset)
     run_kwargs: Dict[str, Any] = {}
-    if spec.get("run_compression"):
-        run_kwargs["compression"] = _COMPRESSION[spec["run_compression"]]
     if spec.get("faults"):
         # The schedule travels inside the spec as a plain dict, so it is
         # picklable for worker pools and folds into sweep-cache keys for
@@ -231,11 +249,12 @@ def run_spec(spec: Dict[str, Any]) -> ExperimentResult:
     if trace_dir:
         run_kwargs["tracer"] = Tracer()
 
-    machine, fs, default_workload = preset.build(
+    machine, fs, workload = preset.build(
         spec["ncores"], seed=spec.get("seed", 42))
+    if "nvariables" in spec:
+        workload = CM1Workload.blueprint(nvariables=spec["nvariables"])
     result = run_experiment(
-        machine, fs, workload if workload is not None else default_workload,
-        strategy,
+        machine, fs, workload, strategy,
         write_phases=spec.get("write_phases",
                               1 if config.get("REPRO_FAST") else 2),
         **run_kwargs)

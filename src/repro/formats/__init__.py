@@ -8,9 +8,8 @@
 - :mod:`repro.formats.shdf` — a real hierarchical scientific container
   (groups, chunked datasets, attributes, per-chunk compression) written by
   the examples — the stand-in for HDF5;
-- :mod:`repro.formats.hdf5model` — HDF5/pHDF5 *cost semantics* for the
-  simulated strategies (metadata overhead, format overhead, the fact that
-  collective pHDF5 cannot compress).
+- :mod:`repro.formats.hdf5model` — the HDF5 *cost model* the simulated
+  strategies charge (format overhead bytes, serialisation time).
 """
 
 from repro.formats.layout import Layout

@@ -1,24 +1,26 @@
 """HDF5 / pHDF5 cost semantics for the simulated I/O strategies.
 
 The DES never moves real bytes, so it needs a model of what the I/O
-library adds on top of the raw data: format/metadata overhead bytes,
-serialisation CPU time, and the key semantic constraint the paper
-exploits — **collective pHDF5 cannot compress** ("none of today's data
-formats offers compression features using this approach", Section II-B).
+library adds on top of the raw data: format/metadata overhead bytes and
+serialisation CPU time. :data:`HDF5` is the one instance every strategy
+and the Damaris server charge. The paper's other HDF5 constraint —
+**collective pHDF5 cannot compress** ("none of today's data formats
+offers compression features using this approach", Section II-B) — is a
+property of the strategies: the collective one takes no compression
+model, and a sweep spec that asks it for one is rejected
+(:func:`repro.experiments.specs.validate_spec`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import FormatError
-from repro.formats.compression import CompressionModel
 from repro.units import KiB
 
-__all__ = ["HDF5CostModel"]
+__all__ = ["HDF5", "HDF5CostModel"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class HDF5CostModel:
     """Overheads charged per file and per dataset by the HDF5 layer."""
 
@@ -28,8 +30,6 @@ class HDF5CostModel:
     dataset_overhead_bytes: float = 1 * KiB
     #: CPU seconds per byte for in-memory serialisation (hyperslab packing).
     pack_seconds_per_byte: float = 1.0 / (2.0e9)
-    #: Whether the file is written collectively (pHDF5 mode).
-    collective: bool = False
 
     def file_bytes(self, data_bytes: float, ndatasets: int) -> float:
         """Total bytes landing in the file for ``data_bytes`` of user data."""
@@ -40,11 +40,6 @@ class HDF5CostModel:
         """CPU time to stage/serialise the data before the write call."""
         return data_bytes * self.pack_seconds_per_byte
 
-    def compressed_bytes(self, data_bytes: float,
-                         model: CompressionModel) -> float:
-        """Size after the gzip filter — rejected in collective mode."""
-        if self.collective:
-            raise FormatError(
-                "pHDF5 collective writes do not support compression "
-                "filters (paper Section II-B)")
-        return model.output_bytes(data_bytes)
+
+#: The cost model of every simulated HDF5 file (FPP, collective, Damaris).
+HDF5 = HDF5CostModel()

@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Optional
-
-from repro.formats.compression import CompressionModel
-from repro.formats.hdf5model import HDF5CostModel
+from typing import TYPE_CHECKING, Any, Dict
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.apps.workload import CM1Workload
@@ -27,10 +24,6 @@ class StrategyContext:
     workload: "CM1Workload"
     #: Per-core subdomain dilation (1.0 without dedicated cores).
     dilation: float = 1.0
-    #: gzip-style model for strategies that compress on the compute cores.
-    compression: Optional[CompressionModel] = None
-    #: Format cost model.
-    hdf5: HDF5CostModel = field(default_factory=HDF5CostModel)
     #: Scratch space for strategy state (shared files, deployments...).
     state: Dict[str, Any] = field(default_factory=dict)
 

@@ -5,7 +5,7 @@ All ranks synchronise on a shared file per phase. Two ROMIO behaviours:
 node, chunked aggregator writes) and ``mode="direct"`` (PVFS: every rank
 writes its region with data sieving). Either way the phase pays rendezvous
 with the slowest rank, and compression is impossible (pHDF5 restriction,
-Section II-B of the paper).
+Section II-B of the paper): this strategy takes no compression model.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.errors import MPIError
-from repro.formats.hdf5model import HDF5CostModel
+from repro.formats.hdf5model import HDF5
 from repro.mpi.mpiio import (
     collective_close,
     collective_open,
@@ -21,7 +21,6 @@ from repro.mpi.mpiio import (
     collective_write_direct,
 )
 from repro.strategies.base import IOStrategy, StrategyContext
-from repro.units import MiB
 
 __all__ = ["CollectiveIOStrategy"]
 
@@ -33,30 +32,18 @@ class CollectiveIOStrategy(IOStrategy):
 
     def __init__(self, stripe_count: Optional[int] = None,
                  stripe_size: Optional[int] = None,
-                 mode: str = "two-phase",
-                 cb_buffer: int = 16 * MiB,
-                 sieve_buffer: int = 4 * MiB) -> None:
+                 mode: str = "two-phase") -> None:
         if mode not in ("two-phase", "direct"):
             raise MPIError(f"unknown collective mode {mode!r}")
         #: Stripe settings of the shared file (None = file system default).
         self.stripe_count = stripe_count
         self.stripe_size = stripe_size
         self.mode = mode
-        self.cb_buffer = cb_buffer
-        self.sieve_buffer = sieve_buffer
-
-    def setup(self, ctx: StrategyContext) -> None:
-        # pHDF5 semantics for the cost model.
-        ctx.hdf5 = HDF5CostModel(
-            file_overhead_bytes=ctx.hdf5.file_overhead_bytes,
-            dataset_overhead_bytes=ctx.hdf5.dataset_overhead_bytes,
-            pack_seconds_per_byte=ctx.hdf5.pack_seconds_per_byte,
-            collective=True)
 
     def write_phase(self, ctx: StrategyContext, rank: int, phase: int):
         machine = ctx.machine
         data_bytes = ctx.bytes_per_rank
-        pack = ctx.hdf5.pack_time(data_bytes)
+        pack = HDF5.pack_time(data_bytes)
         if pack > 0:
             yield machine.sim.timeout(pack)
         cfile = yield from collective_open(
@@ -66,11 +53,9 @@ class CollectiveIOStrategy(IOStrategy):
         # Per-rank payload: user data plus this rank's share of the
         # dataset headers (the file-level overhead is negligible).
         payload = int(data_bytes
-                      + ctx.hdf5.dataset_overhead_bytes * ctx.ndatasets)
+                      + HDF5.dataset_overhead_bytes * ctx.ndatasets)
         if self.mode == "two-phase":
-            yield from collective_write(cfile, rank, payload,
-                                        cb_buffer=self.cb_buffer)
+            yield from collective_write(cfile, rank, payload)
         else:
-            yield from collective_write_direct(cfile, rank, payload,
-                                               sieve_buffer=self.sieve_buffer)
+            yield from collective_write_direct(cfile, rank, payload)
         yield from collective_close(cfile, rank)

@@ -13,7 +13,6 @@ from typing import Optional
 
 from repro.core.api import DamarisDeployment
 from repro.core.config import DamarisConfig
-from repro.core.plugins import PluginRegistry
 from repro.core.server import DamarisOptions
 from repro.strategies.base import IOStrategy, StrategyContext
 
@@ -24,22 +23,19 @@ END_EVENT = "end_of_iteration"
 
 
 class DamarisStrategy(IOStrategy):
-    """Writes go to the node's dedicated core through shared memory."""
+    """Writes go to the node's dedicated core through shared memory.
+
+    The end-of-iteration event runs the ``compress`` action (compress,
+    then persist) exactly when ``options.compression`` is set, else
+    ``persist``.
+    """
 
     name = "damaris"
     uses_dedicated_cores = True
 
     def __init__(self, options: Optional[DamarisOptions] = None,
-                 registry: Optional[PluginRegistry] = None,
-                 buffer_bytes: Optional[int] = None,
-                 allocator: str = "mutex",
-                 compress_on_server: bool = False,
                  dedicated_cores_per_node: int = 1) -> None:
         self.options = options if options is not None else DamarisOptions()
-        self.registry = registry
-        self.buffer_bytes = buffer_bytes
-        self.allocator = allocator
-        self.compress_on_server = compress_on_server
         self.dedicated_cores_per_node = dedicated_cores_per_node
         self.deployment: Optional[DamarisDeployment] = None
 
@@ -52,28 +48,20 @@ class DamarisStrategy(IOStrategy):
             elements = max(1, nbytes // 4)
             config.add_layout(f"layout_{name}", "float", (elements,))
             config.add_variable(name, f"layout_{name}")
-        action = "compress" if self.compress_on_server else "persist"
+        action = ("persist" if self.options.compression is None
+                  else "compress")
         config.add_event(END_EVENT, action)
-        config.allocator = self.allocator
         config.dedicated_cores = self.dedicated_cores_per_node
-        if self.buffer_bytes is not None:
-            config.buffer_size = self.buffer_bytes
-        else:
-            # Default: room for three in-flight iterations per node.
-            per_iteration = (ctx.workload.bytes_per_core(ctx.dilation)
-                             * max(1, ctx.comm.size
-                                   // len(ctx.machine.nodes)))
-            config.buffer_size = max(3 * per_iteration, 1 << 20)
+        # Room for three in-flight iterations per node.
+        per_iteration = (ctx.workload.bytes_per_core(ctx.dilation)
+                         * max(1, ctx.comm.size // len(ctx.machine.nodes)))
+        config.buffer_size = max(3 * per_iteration, 1 << 20)
         return config
 
     def setup(self, ctx: StrategyContext) -> None:
-        config = self.build_config(ctx)
-        if self.compress_on_server and self.options.compression is None:
-            raise ValueError(
-                "compress_on_server requires options.compression")
         self.deployment = DamarisDeployment(
-            ctx.machine, ctx.fs, config, options=self.options,
-            registry=self.registry)
+            ctx.machine, ctx.fs, self.build_config(ctx),
+            options=self.options)
         self.deployment.start()
         ctx.state["deployment"] = self.deployment
         ctx.state["server_processes"] = self.deployment.server_processes

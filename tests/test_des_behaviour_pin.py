@@ -33,6 +33,8 @@ _CRASH = {"name": "crash", "faults": [
 #: name -> (preset, ncores, strategy sub-spec, write phases, faults)
 CASES = {
     "fpp-kraken": ("kraken", 48, {"kind": "fpp"}, 1, None),
+    "fpp-gzip-gpfs": (
+        "blueprint", 48, {"kind": "fpp", "compression": "gzip"}, 1, None),
     "collective-two-phase-lustre": (
         "kraken", 48, {"kind": "collective"}, 1, None),
     "collective-direct-pvfs": (
@@ -41,15 +43,17 @@ CASES = {
     "damaris-scheduler": (
         "kraken", 48, {"kind": "damaris", "use_scheduler": True}, 2, None),
     "damaris-gzip": (
-        "grid5000", 48, {"kind": "damaris", "compression": "gzip",
-                         "compress_on_server": True}, 2, None),
+        "grid5000", 48, {"kind": "damaris", "compression": "gzip"}, 2, None),
     "damaris-failover-crash": (
         "kraken", 48, {"kind": "damaris_failover"}, 2, _CRASH),
 }
 
-#: Digests recorded before the engine change (seed 7).
+#: Digests recorded before the engine change (seed 7); ``fpp-gzip-gpfs``
+#: was recorded later, with the options that spelled compression on the
+#: compute cores before the strategy held its own model.
 DIGESTS = {
     "fpp-kraken": "b51139722af55b9e",
+    "fpp-gzip-gpfs": "bb61a134ff14295a",
     "collective-two-phase-lustre": "7948e75d4c6ed016",
     "collective-direct-pvfs": "54a0137825eae035",
     "damaris-plain": "48b0804b4f3e4320",
@@ -64,6 +68,7 @@ DIGESTS = {
 #: node; the crash adds one replay; each run adds the interference walk.
 PROCESSES = {
     "fpp-kraken": 48 + 1,
+    "fpp-gzip-gpfs": 48 + 1,
     "collective-two-phase-lustre": 48 + 1,
     "collective-direct-pvfs": 48 + 1,
     "damaris-plain": 46 + 2 + 1,

@@ -1,11 +1,13 @@
 """Smoke tests: the runnable examples must actually run.
 
-Only the fast examples run here (the DES sweeps in jitter_analysis /
-spare_time_scheduling take minutes and are exercised by the benches);
-each is executed as a real subprocess, exactly as a user would.
+Only the fast examples run here (the DES sweep in jitter_analysis takes
+minutes and is exercised by the benches; cluster_simulation and
+spare_time_scheduling run at a reduced core count); each is executed as
+a real subprocess, exactly as a user would.
 """
 
 import os
+import re
 import subprocess
 import sys
 
@@ -45,3 +47,14 @@ class TestExamples:
         assert result.returncode == 0, result.stderr
         assert "damaris" in result.stdout
         assert "file-per-process" in result.stdout
+
+    def test_spare_time_scheduling_small(self):
+        result = run_example("spare_time_scheduling.py", "48")
+        assert result.returncode == 0, result.stderr
+        for label in ("plain", "+ scheduling", "+ gzip",
+                      "+ gzip + scheduling"):
+            assert f"  {label}: done" in result.stdout
+        # Stored volume per variant, in row order: gzip shrinks it.
+        plain, scheduled, gzip, gzip_scheduled = (
+            float(gb) for gb in re.findall(r"([\d.]+) GB", result.stdout))
+        assert gzip < plain and gzip_scheduled < scheduled

@@ -1,6 +1,5 @@
-"""Tests for the experiments layer: reports, presets, figure plumbing."""
-
-import os
+"""Tests for the experiments layer: reports, presets, figure plumbing,
+sweep-spec validation."""
 
 import pytest
 
@@ -12,6 +11,14 @@ from repro.experiments.platforms import (
     kraken_preset,
 )
 from repro.experiments.report import FigureReport, render_table
+from repro.experiments.specs import (
+    PRESETS,
+    STRATEGY_KINDS,
+    SpecError,
+    strategy_from_spec,
+    validate_spec,
+)
+from repro.formats.compression import GZIP16_MODEL, GZIP_MODEL
 
 
 class TestRenderTable:
@@ -123,3 +130,90 @@ class TestModelBreakevenDriver:
         assert by_cores[24]["pays_off_at_5pct"]
         assert not by_cores[8]["pays_off_at_5pct"]
         assert report.render()
+
+
+#: The fields each strategy kind takes besides ``kind``. Collective
+#: takes no compression: pHDF5 collective writes cannot compress
+#: (paper Section II-B).
+KIND_FIELDS = {
+    "fpp": {"compression"},
+    "collective": {"stripe_size"},
+    "noio": set(),
+    "damaris": {"compression", "use_scheduler"},
+    "damaris_failover": {"compression", "use_scheduler"},
+}
+
+#: A valid value for each strategy field.
+FIELD_VALUES = {"compression": "gzip", "stripe_size": 1 << 20,
+                "use_scheduler": True}
+
+
+def spec_for(strategy, preset="grid5000", **top):
+    return {"preset": preset, "ncores": 24, "strategy": strategy, **top}
+
+
+class TestSpecValidation:
+    def test_kinds_are_the_table(self):
+        assert set(STRATEGY_KINDS) == set(KIND_FIELDS)
+
+    @pytest.mark.parametrize("kind,field", [
+        (kind, field) for kind in sorted(KIND_FIELDS)
+        for field in sorted(FIELD_VALUES) if field not in KIND_FIELDS[kind]])
+    def test_field_outside_its_kind_is_rejected(self, kind, field):
+        strategy = {"kind": kind, field: FIELD_VALUES[field]}
+        with pytest.raises(SpecError) as info:
+            validate_spec(spec_for(strategy))
+        assert repr(kind) in str(info.value)
+        assert repr(field) in str(info.value)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+    def test_every_field_of_its_kind_is_accepted(self, kind):
+        strategy = {"kind": kind,
+                    **{field: FIELD_VALUES[field]
+                       for field in KIND_FIELDS[kind]}}
+        assert validate_spec(spec_for(strategy))["strategy"] == strategy
+
+    @pytest.mark.parametrize("strategy,top", [
+        ({"kind": "fpp", "compress": True}, {}),
+        ({"kind": "damaris", "compression": "gzip",
+          "compress_on_server": True}, {}),
+        ({"kind": "fpp"}, {"run_compression": "gzip"}),
+    ], ids=["compress", "compress_on_server", "run_compression"])
+    def test_removed_spellings_are_rejected(self, strategy, top):
+        with pytest.raises(SpecError):
+            validate_spec(spec_for(strategy, **top))
+
+    @pytest.mark.parametrize("kind,model_of", [
+        ("fpp", lambda strategy: strategy.compression),
+        ("damaris", lambda strategy: strategy.options.compression),
+        ("damaris_failover", lambda strategy: strategy.options.compression),
+    ], ids=["fpp", "damaris", "damaris_failover"])
+    def test_compression_names_the_strategy_model(self, kind, model_of):
+        preset = grid5000_preset()
+        assert model_of(strategy_from_spec({"kind": kind}, preset)) is None
+        for name, model in (("gzip", GZIP_MODEL), ("gzip16", GZIP16_MODEL)):
+            strategy = strategy_from_spec(
+                {"kind": kind, "compression": name}, preset)
+            assert model_of(strategy) is model
+
+    def test_use_scheduler_is_a_json_boolean(self):
+        for value in ("false", 0, 1, None):
+            with pytest.raises(SpecError, match="use_scheduler"):
+                validate_spec(spec_for({"kind": "damaris",
+                                        "use_scheduler": value}))
+        strategy = strategy_from_spec(
+            {"kind": "damaris", "use_scheduler": False}, grid5000_preset())
+        assert not strategy.options.use_scheduler
+
+    def test_nvariables_only_with_blueprint(self):
+        validate_spec(spec_for({"kind": "fpp"}, preset="blueprint",
+                               nvariables=3))
+        for preset in sorted(set(PRESETS) - {"blueprint"}):
+            with pytest.raises(SpecError, match="nvariables"):
+                validate_spec(spec_for({"kind": "fpp"}, preset=preset,
+                                       nvariables=3))
+
+    @pytest.mark.parametrize("label", [5, "", None, ["a"]])
+    def test_trace_label_is_a_non_empty_string(self, label):
+        with pytest.raises(SpecError, match="trace_label"):
+            validate_spec(spec_for({"kind": "noio"}, trace_label=label))

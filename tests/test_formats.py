@@ -146,15 +146,6 @@ class TestHDF5CostModel:
                               dataset_overhead_bytes=10)
         assert model.file_bytes(1000, ndatasets=3) == 1130
 
-    def test_collective_mode_rejects_compression(self):
-        model = HDF5CostModel(collective=True)
-        with pytest.raises(FormatError):
-            model.compressed_bytes(1000, GZIP_MODEL)
-
-    def test_independent_mode_compresses(self):
-        model = HDF5CostModel(collective=False)
-        assert model.compressed_bytes(187.0, GZIP_MODEL) == pytest.approx(100.0)
-
 
 class TestSHDF:
     def test_roundtrip_plain(self, tmp_path):

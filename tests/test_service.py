@@ -8,8 +8,10 @@ an ephemeral port, real process pool) and drives it through the real
 exercises the full simulation engine end-to-end is marked ``slow``.
 """
 
+import json
 import os
 import socket
+from http.client import HTTPConnection
 
 import pytest
 
@@ -91,6 +93,31 @@ def test_invalid_spec_rejected_at_admission():
             client.submit([{"preset": "nope", "ncores": 8,
                             "strategy": {"kind": "damaris"}}])
         assert client.jobs() == []  # nothing was enqueued
+
+
+def test_spec_field_outside_its_strategy_kind_is_400_at_submission():
+    # pHDF5 collective writes cannot compress, and the old
+    # compress_on_server spelling is gone: each is refused on the wire
+    # before a job exists, never run as a different experiment or left
+    # to fail in a worker.
+    with ServiceFixture(runner=echo_runner) as fx:
+        for strategy in ({"kind": "collective", "compression": "gzip"},
+                         {"kind": "damaris", "compress_on_server": True}):
+            spec = dict(make_spec(), strategy=strategy)
+            conn = HTTPConnection(fx.service.host, fx.service.port,
+                                  timeout=30)
+            try:
+                conn.request("POST", "/v1/jobs",
+                             body=json.dumps({"specs": [spec]}),
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                body = json.loads(resp.read())
+            finally:
+                conn.close()
+            assert resp.status == 400
+            assert body["error"]["kind"] == "invalid_spec"
+            assert repr(strategy["kind"]) in body["error"]["message"]
+        assert fx.client().jobs() == []
 
 
 # --------------------------------------------------------------------- #

@@ -288,10 +288,19 @@ def test_validate_payload_rejects_junk():
     straggler = {"kind": "straggler", "time": 1.0, "duration": 1.0,
                  "factor": 2.0, "nodes": [0]}
     junk = [make_spec(preset=["kraken"]),
-            make_spec(run_compression={"a": 1})]
-    for strategy in ({"compression": ["gzip"]}, {"stripe_size": "big"},
-                     {"stripe_size": 0}, {"stripe_size": -1}):
-        junk.append(make_spec(kind="collective"))
+            make_spec(run_compression={"a": 1}),
+            # An int label breaks the trace file name in the worker.
+            make_spec(trace_label=5),
+            # nvariables sets BluePrint's workload; on Kraken it would
+            # silently swap BluePrint's subdomain in.
+            make_spec(preset="kraken", ncores=48, nvariables=3)]
+    # "false" is truthy: it would switch the scheduler on.
+    for kind, strategy in (("damaris", {"compression": ["gzip"]}),
+                           ("damaris", {"use_scheduler": "false"}),
+                           ("collective", {"stripe_size": "big"}),
+                           ("collective", {"stripe_size": 0}),
+                           ("collective", {"stripe_size": -1})):
+        junk.append(make_spec(kind=kind))
         junk[-1]["strategy"].update(strategy)
     for fault in ({"duration": math.inf}, {"time": math.inf},
                   {"time": math.nan}, {"factor": math.nan},

@@ -17,7 +17,7 @@ from repro.strategies import (
     FilePerProcessStrategy,
     NoIOStrategy,
 )
-from repro.units import GiB, MiB
+from repro.units import GiB
 
 
 def quiet_platform(nodes=2, cores=4, fs_cls=Lustre, ntargets=4):
@@ -84,20 +84,14 @@ class TestFilePerProcess:
         assert result.files_created == 2 * result.compute_ranks
         assert fs.file_count == 2 * result.compute_ranks
 
-    def test_compression_needs_model(self):
-        machine, fs = quiet_platform()
-        with pytest.raises(ValueError):
-            run_experiment(machine, fs, small_workload(),
-                           FilePerProcessStrategy(compress=True))
-
     def test_compression_shrinks_files_but_costs_time(self):
         machine, fs = quiet_platform()
         plain = run_experiment(machine, fs, small_workload(),
                                FilePerProcessStrategy())
         machine2, fs2 = quiet_platform()
-        compressed = run_experiment(machine2, fs2, small_workload(),
-                                    FilePerProcessStrategy(compress=True),
-                                    compression=GZIP_MODEL)
+        compressed = run_experiment(
+            machine2, fs2, small_workload(),
+            FilePerProcessStrategy(compression=GZIP_MODEL))
         assert fs2.bytes_written < fs.bytes_written
         # gzip CPU time appears in the write phase.
         assert compressed.avg_write_phase != plain.avg_write_phase
@@ -178,7 +172,6 @@ class TestDamarisStrategy:
     def test_compression_on_server(self):
         machine, fs = quiet_platform()
         strategy = DamarisStrategy(
-            compress_on_server=True,
             options=DamarisOptions(compression=GZIP_MODEL))
         run_experiment(machine, fs, small_workload(), strategy,
                        write_phases=1)
@@ -186,12 +179,6 @@ class TestDamarisStrategy:
         run_experiment(machine2, fs2, small_workload(), DamarisStrategy(),
                        write_phases=1)
         assert fs.bytes_written < fs2.bytes_written
-
-    def test_compress_requires_model(self):
-        machine, fs = quiet_platform()
-        with pytest.raises(ValueError):
-            run_experiment(machine, fs, small_workload(),
-                           DamarisStrategy(compress_on_server=True))
 
     def test_scheduler_variant_runs(self):
         machine, fs = quiet_platform(nodes=4)
