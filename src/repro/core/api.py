@@ -39,6 +39,12 @@ class DamarisDeployment:
         self.config = config
         self.options = options if options is not None else DamarisOptions()
         self.registry = registry if registry is not None else PluginRegistry()
+        if self.options.compression is None:
+            for spec in config.actions.values():
+                if spec.action == "compress":
+                    raise ConfigurationError(
+                        f"event {spec.event!r} is bound to 'compress' but "
+                        f"DamarisOptions.compression is None")
 
         ncores = machine.spec.cores_per_node
         ndedicated = config.dedicated_cores

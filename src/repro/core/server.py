@@ -22,6 +22,7 @@ from repro.core.scheduler import TransferScheduler
 from repro.core.shm import SharedMemorySegment
 from repro.des.core import Event
 from repro.des.resources import Resource, Store
+from repro.errors import ConfigurationError
 from repro.formats.compression import CompressionModel
 from repro.formats.hdf5model import HDF5
 
@@ -140,10 +141,18 @@ class DedicatedCoreServer:
     # actions (invoked by plugins through the EPE)
     # ------------------------------------------------------------------ #
     def compress_iteration(self, iteration: int):
-        """Process: run the compression model over the iteration's data."""
+        """Process: run the compression model over the iteration's data.
+
+        Raises :class:`~repro.errors.ConfigurationError` when no model is
+        set: an event bound to ``compress`` must not persist raw data.
+        """
         model = self.options.compression
+        if model is None:
+            raise ConfigurationError(
+                f"iteration {iteration}: an event is bound to 'compress' "
+                f"but DamarisOptions.compression is None")
         entries = self.store.iteration_entries(iteration)
-        if model is None or not entries:
+        if not entries:
             return
         sim = self.machine.sim
         started = sim.now

@@ -51,11 +51,13 @@ O(everything):
 - **O(changed) bookkeeping** — an arrival or departure touches plain
   Python state (one resource tuple per slot, per-capacity flow counts in
   a list) and a few scalar slots of the numpy arrays; the packed
-  ascending array of active slots is one ``np.flatnonzero`` per change,
-  cached until the next. Each recompute then makes one pass over those
-  active slots to advance them and flag the finished ones, and one more
-  for the next completion: a C call each on the compiled kernel, a few
-  vectorised numpy statements on the ``python`` kernel.
+  ascending array of active slots is one scan of the active mask per
+  change, cached until the next (on the compiled kernel, C packs it into
+  a buffer whose address is pinned). Each recompute then makes one
+  pass over those active slots to advance them and flag the finished
+  ones, and one more for the next completion: a C call each on the
+  compiled kernel, a few vectorised numpy statements on the ``python``
+  kernel.
 - **incremental arrivals + a reschedulable completion tick** — an arrival
   batch whose flows are all rate-cap-limited and fit into the slack of
   every capacity they touch cannot change existing allocations (each new
@@ -189,6 +191,9 @@ class _NumpyPass:
     def unpin(self) -> None:
         """Nothing is pinned: numpy indexes the arrays afresh each call."""
 
+    def active_indices(self, net: "FlowNetwork") -> np.ndarray:
+        return net._active.nonzero()[0]
+
     def advance_finish(self, net: "FlowNetwork", idx: np.ndarray,
                        dt: float, now: float) -> Optional[np.ndarray]:
         moved, done = advance_finish_np(
@@ -223,19 +228,25 @@ class _CompiledPass:
     more than a small kernel call, so the addresses of the network's
     arrays are taken once (:meth:`_pin`) and kept until the network
     reallocates one of them (:meth:`unpin`). The pass owns the kernel's
-    scratch maps, which read all -1 between calls, and its output
-    buffers for moved bytes and the done mask.
+    scratch: the two maps, which read all -1 between calls, and the
+    arena the solve carves its other arrays from, sized for a solve of
+    every slot over every capacity (so it grows geometrically, with the
+    slot arrays); its output buffers for moved bytes and the done mask;
+    and the buffer C packs the active slot indices into, whose address
+    is therefore known without asking numpy.
     """
 
-    __slots__ = ("kernel", "moved", "done", "class_map", "res_map", "addr",
-                 "idx", "idx_addr")
+    __slots__ = ("kernel", "moved", "done", "active_idx", "class_map",
+                 "res_map", "arena", "addr", "idx", "idx_addr")
 
     def __init__(self, kernel: MaxminKernel) -> None:
         self.kernel = kernel
         self.moved = np.empty(0, dtype=np.float64)
         self.done = np.empty(0, dtype=bool)
+        self.active_idx = np.empty(0, dtype=np.int64)
         self.class_map = np.empty(0, dtype=np.int64)
         self.res_map = np.empty(0, dtype=np.int64)
+        self.arena = np.empty(0, dtype=np.int64)
         self.addr: Optional[Tuple[int, ...]] = None
         self.idx: Optional[np.ndarray] = None
         self.idx_addr = 0
@@ -245,18 +256,32 @@ class _CompiledPass:
 
     def _pin(self, net: "FlowNetwork") -> Tuple[int, ...]:
         slots = net._rate.size
+        nres = net._capacities.size
         if self.moved.size < slots:
             self.moved = np.empty(slots, dtype=np.float64)
             self.done = np.empty(slots, dtype=bool)
+            self.active_idx = np.empty(slots, dtype=np.int64)
         if self.class_map.size < net._class_cap.size:
             self.class_map = np.full(net._class_cap.size, -1, dtype=np.int64)
-        if self.res_map.size < net._capacities.size:
-            self.res_map = np.full(net._capacities.size, -1, dtype=np.int64)
+        if self.res_map.size < nres:
+            self.res_map = np.full(nres, -1, dtype=np.int64)
+        words = self.kernel.arena_words_fn(slots, nres, MAX_RES_PER_FLOW)
+        if self.arena.size < words:
+            self.arena = np.empty(max(words, 2 * self.arena.size),
+                                  dtype=np.int64)
         self.addr = tuple(arr.ctypes.data for arr in (
             net._rate, net._remaining, net._start, self.moved, self.done,
-            net._slot_class, net._class_res, net._class_cap,
-            net._capacities, self.class_map, self.res_map, net._cap_used))
+            net._active, self.active_idx, net._slot_class, net._class_res,
+            net._class_cap, net._capacities, self.class_map, self.res_map,
+            self.arena, net._cap_used)) + (nres, self.arena.size)
         return self.addr
+
+    def active_indices(self, net: "FlowNetwork") -> np.ndarray:
+        active, packed = (self.addr or self._pin(net))[5:7]
+        n = self.kernel.active_index_fn(net._active.size, active, packed)
+        self.idx = idx = self.active_idx[:n]
+        self.idx_addr = packed
+        return idx
 
     def _idx_address(self, idx: np.ndarray) -> int:
         if idx is not self.idx:
@@ -289,18 +314,18 @@ class _CompiledPass:
         # net._cap_used at the capacities they touch, so a `whole` solve
         # needs nothing more: a capacity that no active flow touches
         # already reads 0.0 (`_release_slot` resets it).
-        (rate, _rem, _start, _moved, _done, slot_class, class_res,
-         class_cap, capacities, class_map, res_map, cap_used) = \
-            self.addr or self._pin(net)
+        (rate, _rem, _start, _moved, _done, _active, _packed, slot_class,
+         class_res, class_cap, capacities, class_map, res_map, arena,
+         cap_used, nres, arena_words) = self.addr or self._pin(net)
         net._stat_kernel_solves += 1
         if self.kernel.solve_fn(
                 idx.size, self._idx_address(idx), slot_class,
-                MAX_RES_PER_FLOW, class_res, class_cap, capacities,
-                net.fairness_slack, class_map, res_map, rate,
-                cap_used) < 0:
+                MAX_RES_PER_FLOW, class_res, class_cap, capacities, nres,
+                net.fairness_slack, class_map, res_map, arena, arena_words,
+                rate, cap_used) < 0:
             raise SimulationError(
-                f"compiled maxmin kernel ran out of memory for "
-                f"{idx.size} flows")
+                f"compiled maxmin kernel: scratch arena of {arena_words} "
+                f"words too small for {idx.size} flows")
 
 
 class FlowNetwork:
@@ -349,7 +374,11 @@ class FlowNetwork:
         self.kernel = resolve_kernel(kernel)
         self._pass = (_CompiledPass(compiled_kernel())
                       if self.kernel == KERNEL_COMPILED else _NumpyPass())
-        self._capacities = np.zeros(0, dtype=float)
+        # Row 0 holds the capacities, row 1 what the current allocation
+        # consumes of each (`_cap_used`, below); the rows grow by
+        # doubling, and both names are views of the registered entries.
+        self._cap_rows = np.zeros((2, 64), dtype=float)
+        self._capacities = self._cap_rows[0, :0]
         self._cap_names: List[str] = []
         self._links: Dict[str, LinkCapacity] = {}
 
@@ -378,7 +407,8 @@ class FlowNetwork:
         self._class_cap = np.zeros(64, dtype=float)
 
         # Active slots: a count, and the packed ascending index array,
-        # rebuilt by one flatnonzero on first use after a change.
+        # rebuilt by one scan of the active mask on first use after a
+        # change (see the passes' `active_indices`).
         self._nactive = 0
         self._active_idx: Optional[np.ndarray] = None
 
@@ -403,7 +433,7 @@ class FlowNetwork:
         #: Per-capacity bandwidth consumed by the current allocation
         #: (valid between recomputations; refreshed by every solve that
         #: touches the capacity's component).
-        self._cap_used = np.zeros(0, dtype=float)
+        self._cap_used = self._cap_rows[1, :0]
 
         # Reschedulable "next completion" tick: `_tick_target` is the
         # absolute time of the next predicted completion; `_tick_heap`
@@ -438,8 +468,13 @@ class FlowNetwork:
             raise SimulationError(f"capacity must be > 0, got {capacity}")
         index = len(self._cap_names)
         self._cap_names.append(name)
-        self._capacities = np.append(self._capacities, float(capacity))
-        self._cap_used = np.append(self._cap_used, 0.0)
+        rows = self._cap_rows
+        if index == rows.shape[1]:
+            rows = self._cap_rows = np.concatenate(
+                (rows, np.zeros_like(rows)), axis=1)
+        rows[0, index] = float(capacity)
+        self._capacities = rows[0, :index + 1]
+        self._cap_used = rows[1, :index + 1]
         self._pass.unpin()
         self._res_parent.append(index)
         self._res_nflows.append(0)
@@ -458,7 +493,7 @@ class FlowNetwork:
         """The packed, ascending array of active slot indices."""
         idx = self._active_idx
         if idx is None:
-            idx = self._active_idx = np.flatnonzero(self._active)
+            idx = self._active_idx = self._pass.active_indices(self)
         return idx
 
     # ------------------------------------------------------------------ #
@@ -668,8 +703,8 @@ class FlowNetwork:
             self._class_ids[key] = cid
             self._class_keys[cid] = key
             self._class_refs[cid] = 0
-            self._class_res[cid, :] = -1
-            self._class_res[cid, :len(res_indices)] = res_indices
+            self._class_res[cid] = res_indices + (-1,) * (
+                MAX_RES_PER_FLOW - len(res_indices))
             self._class_cap[cid] = rate_cap
         self._class_refs[cid] += 1
         return cid

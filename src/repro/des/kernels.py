@@ -6,15 +6,15 @@ handful of O(F) vectorised passes *per freeze round*, which flattens
 out around 10⁴ flows. This module holds both implementations of the
 per-component solve — capacity residuals, bottleneck selection, grant
 scatter — and of the pass each recompute makes over the active flows
-(advance them, flag the finished ones, find the next completion),
-selected with ``REPRO_KERNEL``:
+(advance them, flag the finished ones, find the next completion; pack
+their slot indices after a change), selected with ``REPRO_KERNEL``:
 
 - ``compiled``: a C translation of the flow-class water-filling rounds
   and of the per-recompute pass, built on first use with the system C
   compiler into a content-addressed shared library
   (``~/.cache/repro/kernels``, override with ``REPRO_KERNEL_CACHE``)
-  and loaded through :mod:`ctypes`, all three functions at once with
-  the probe. A library already in that cache loads without a compiler.
+  and loaded through :mod:`ctypes`, every function at once with the
+  probe. A library already in that cache loads without a compiler.
   The functions take raw addresses, which
   :class:`~repro.des.bandwidth.FlowNetwork` pins per array until it
   reallocates one.
@@ -36,27 +36,39 @@ just to tolerance: every floating-point operation happens on the same
 values in the same order (IEEE-754 doubles, round-to-nearest, no fused
 multiply-add), in particular
 
-- per-resource occupancy counts are exact small-integer sums, so their
-  accumulation order is free;
-- candidate rates are ``min(min_k share[res_k], cap)`` with divisions
-  on identical operands, and the round's bottleneck is their minimum,
-  which no order changes;
+- per-resource occupancy counts are exact small-integer sums held in
+  doubles, so their accumulation order is free, and subtracting a
+  frozen class's multiplicity gives exactly what recounting the
+  unfrozen classes gives: the C side counts once and subtracts, and
+  keeps the number of unfrozen classes that touch any capacity in
+  place of numpy's emptiness test;
+- each touched capacity's share ``max(cap_rem, 0) / counts`` is
+  computed once per round, as numpy computes it; a class's candidate
+  rate is ``min(min_k share[res_k], cap)`` over those same values, and
+  the round's bottleneck is the candidates' minimum, which no order
+  changes;
 - the capacity consumed by a freeze batch is accumulated **per flow in
-  ascending slot order** (the C side merges the frozen classes' member
-  lists and sorts them; one class's list needs no sort), exactly like
-  the numpy scatter, then subtracted from the residuals in one
-  elementwise pass.
+  ascending slot order**, exactly like the numpy scatter, then
+  subtracted from the residuals in one elementwise pass. The C side
+  merges the frozen classes' member lists and sorts them only when the
+  merge does not already ascend, which it always does for one-flow
+  classes numbered in first-appearance order; a multi-flow class whose
+  members interleave with another's still sorts.
 
-Two things the numpy solve does not do are therefore free. The C kernel
-numbers the classes present in *first-appearance* order (numpy's
-``np.unique`` numbers them ascending by id) through a caller-owned
-scratch map, and compacts the capacities they touch through a second
-one, so a solve costs O(flows it solves), not O(class table +
-capacities). The per-recompute pass computes ``moved``, the clipped
-remainder, the completion tolerance and the quotient minimum with the
-numpy statements' operations; the sums over moved bytes and completed
-remainders stay in numpy (pairwise summation), so
-``total_bytes_moved`` is identical too.
+Three things the numpy solve does not do are therefore free. The C
+kernel numbers the classes present in *first-appearance* order
+(numpy's ``np.unique`` numbers them ascending by id) through a
+caller-owned scratch map, and compacts the capacities they touch
+through a second one, so a solve costs O(flows it solves), not O(class
+table + capacities). It allocates nothing: its other scratch arrays are
+carved from one arena the caller owns and sizes with
+``repro_maxmin_arena_words`` (ctypes drops the GIL, so no static
+buffer), and every array is written before it is read, so nothing
+carries over from one solve to the next. The per-recompute pass
+computes ``moved``, the clipped remainder, the completion tolerance and
+the quotient minimum with the numpy statements' operations; the sums
+over moved bytes and completed remainders stay in numpy (pairwise
+summation), so ``total_bytes_moved`` is identical too.
 
 ``tests/test_kernel_equivalence.py`` asserts equality with
 ``np.ndarray.tobytes()`` on randomized storms, at ``fairness_slack=0``
@@ -126,45 +138,73 @@ static int cmp_i64(const void *a, const void *b) {
     return (x > y) - (x < y);
 }
 
+/* The 8-byte words of scratch repro_maxmin_class_solve needs for nflows
+ * flows over a table of nres capacities (see its arena layout). */
+int64_t repro_maxmin_arena_words(int64_t nflows, int64_t nres,
+                                 int64_t kmax)
+{
+    return nflows * (11 + kmax) + 5 * nres + 1;
+}
+
 /* Max-min fair rates over flow equivalence classes.
  *
  * The f-th solved flow sits in slot slots[f] (ascending) and its
  * interned class id is slot_class[slots[f]]; class_res/class_cap are
  * the full interned class tables (rows indexed by class id, -1-padded
- * resource lists). The classes present are numbered in first-appearance
- * order through class_map, and the capacities they touch compacted
- * through res_map: both are caller-owned scratch maps (ctypes drops the
- * GIL, so no static buffer) that must read all -1 on entry and read all
- * -1 again on return. Outputs: rate_out[slots[f]] (floored at 1e-12)
- * and, for each touched capacity r only, cap_used_out[r] = capacity -
- * residual. Returns the number of freeze rounds, or -1 on allocation
- * failure. */
+ * resource lists) and capacities holds nres entries. The classes
+ * present are numbered in first-appearance order through class_map, and
+ * the capacities they touch compacted through res_map: both are
+ * caller-owned scratch maps that must read all -1 on entry and read all
+ * -1 again on return. Every other scratch array is carved from arena,
+ * which the caller owns too (ctypes drops the GIL, so no static buffer)
+ * and which must hold repro_maxmin_arena_words(nflows, nres, kmax)
+ * words. Outputs: rate_out[slots[f]] (floored at 1e-12) and, for each
+ * touched capacity r only, cap_used_out[r] = capacity - residual.
+ * Returns the number of freeze rounds, or -1 when the arena is too
+ * small. */
 int64_t repro_maxmin_class_solve(
     int64_t nflows, const int64_t *slots, const int64_t *slot_class,
     int64_t kmax,
     const int64_t *class_res, const double *class_cap,
-    const double *capacities, double fairness_slack,
+    const double *capacities, int64_t nres, double fairness_slack,
     int64_t *class_map, int64_t *res_map,
+    int64_t *arena, int64_t arena_words,
     double *rate_out, double *cap_used_out)
 {
-    int64_t f, c, k, r, j, id, ui;
-    int64_t nclasses = 0, ntouched = 0, rounds = 0;
+    int64_t f, c, k, r, j, id;
+    int64_t nclasses = 0, ntouched = 0, n_unf, n_unf_res = 0, rounds = 0;
     /* batch = 1.0 + self.fairness_slack + 1e-12 */
     const double batch = 1.0 + fairness_slack + 1e-12;
-
-    int64_t *present = NULL, *inverse = NULL, *touched = NULL;
-    int64_t *cres = NULL, *members = NULL, *cstart = NULL, *cfill = NULL;
-    int64_t *unf = NULL, *newly = NULL, *buf = NULL;
-    double *ccap = NULL, *cmult = NULL, *crate = NULL, *cand = NULL;
-    double *counts = NULL, *cap_rem = NULL, *consumed = NULL;
+    int64_t *present, *inverse, *cres, *members, *buf, *cstart, *unf;
+    int64_t *newly, *touched;
+    double *ccap, *cmult, *crate, *cand;
+    double *counts, *cap_rem, *consumed, *share;
 
     if (nflows == 0)
         return 0;
+    if (arena_words < repro_maxmin_arena_words(nflows, nres, kmax))
+        return -1;
+    /* arena layout: per-flow, per-class and per-capacity arrays, sized
+     * for the worst case of one class per flow and every capacity */
+    present = arena;
+    inverse = present + nflows;
+    cres = inverse + nflows;
+    members = cres + nflows * kmax;
+    buf = members + nflows;
+    cstart = buf + nflows;
+    unf = cstart + nflows + 1;
+    newly = unf + nflows;
+    touched = newly + nflows;
+    ccap = (double *)(touched + nres);
+    cmult = ccap + nflows;
+    crate = cmult + nflows;
+    cand = crate + nflows;
+    counts = cand + nflows;
+    cap_rem = counts + nres;
+    consumed = cap_rem + nres;
+    share = consumed + nres;
 
     /* -- number the classes present, in first-appearance order --------- */
-    present = (int64_t *)malloc((size_t)nflows * sizeof(int64_t));
-    inverse = (int64_t *)malloc((size_t)nflows * sizeof(int64_t));
-    if (!present || !inverse) goto fail;
     for (f = 0; f < nflows; f++) {
         id = slot_class[slots[f]];
         c = class_map[id];
@@ -174,24 +214,6 @@ int64_t repro_maxmin_class_solve(
         }
         inverse[f] = c;
     }
-
-    touched = (int64_t *)malloc((size_t)(nclasses * kmax + 1)
-                                * sizeof(int64_t));
-    cres = (int64_t *)malloc((size_t)(nclasses * kmax + 1)
-                             * sizeof(int64_t));
-    ccap = (double *)malloc((size_t)nclasses * sizeof(double));
-    cmult = (double *)calloc((size_t)nclasses, sizeof(double));
-    crate = (double *)calloc((size_t)nclasses, sizeof(double));
-    cand = (double *)malloc((size_t)nclasses * sizeof(double));
-    members = (int64_t *)malloc((size_t)nflows * sizeof(int64_t));
-    buf = (int64_t *)malloc((size_t)nflows * sizeof(int64_t));
-    cstart = (int64_t *)calloc((size_t)(nclasses + 1), sizeof(int64_t));
-    cfill = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
-    unf = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
-    newly = (int64_t *)malloc((size_t)nclasses * sizeof(int64_t));
-    if (!touched || !cres || !ccap || !cmult || !crate || !cand ||
-        !members || !buf || !cstart || !cfill || !unf || !newly)
-        goto fail;
 
     /* -- compact the class rows onto the touched capacities ------------ */
     for (c = 0; c < nclasses; c++) {
@@ -210,12 +232,11 @@ int64_t repro_maxmin_class_solve(
         for (; k < kmax; k++)
             cres[c * kmax + k] = -1;
         ccap[c] = class_cap[id];
+        cmult[c] = 0.0;
+        crate[c] = 0.0;
+        cstart[c + 1] = 0;
     }
-    counts = (double *)malloc((size_t)ntouched * sizeof(double) + 1);
-    cap_rem = (double *)malloc((size_t)ntouched * sizeof(double) + 1);
-    consumed = (double *)malloc((size_t)ntouched * sizeof(double) + 1);
-    if (!counts || !cap_rem || !consumed) goto fail;
-
+    cstart[0] = 0;
     for (f = 0; f < nflows; f++) {
         c = inverse[f];
         cmult[c] += 1.0;          /* exact: multiplicities are integers */
@@ -223,41 +244,43 @@ int64_t repro_maxmin_class_solve(
     }
     for (c = 0; c < nclasses; c++)
         cstart[c + 1] += cstart[c];
+    /* member lists ascend within each class: flows scanned in order
+     * (buf is the fill cursor here, the freeze batch in the rounds) */
     for (c = 0; c < nclasses; c++)
-        cfill[c] = cstart[c];
-    /* member lists ascend within each class: flows scanned in order */
+        buf[c] = cstart[c];
     for (f = 0; f < nflows; f++)
-        members[cfill[inverse[f]]++] = f;
+        members[buf[inverse[f]]++] = f;
 
-    for (c = 0; c < nclasses; c++)
-        unf[c] = c;               /* unfrozen, in numbering order */
-    for (j = 0; j < ntouched; j++)
+    /* occupancy counts over all classes (exact small-integer sums), the
+     * unfrozen classes in numbering order, and how many of those touch a
+     * capacity */
+    for (j = 0; j < ntouched; j++) {
+        counts[j] = 0.0;
         cap_rem[j] = capacities[touched[j]];
+    }
+    for (c = 0; c < nclasses; c++) {
+        unf[c] = c;
+        for (k = 0; k < kmax; k++) {
+            j = cres[c * kmax + k];
+            if (j < 0)
+                break;
+            counts[j] += cmult[c];
+        }
+        n_unf_res += k > 0;
+    }
+    n_unf = nclasses;
 
     /* -- the freeze rounds: each freezes at least the bottleneck class,
      * so neither this bound nor the numpy loop's (nclasses + nres + 1)
      * is ever reached ------------------------------------------------ */
     {
-        int64_t n_unf = nclasses;
         int64_t iter, max_iter = nclasses + ntouched + 1;
         for (iter = 0; iter < max_iter; iter++) {
-            int64_t have_res = 0, n_new = 0, m = 0, wi = 0, i;
+            int64_t n_new = 0, m = 0, wi = 0, i, ui, ascending = 1;
             double s_star = INFINITY, thresh;
             if (n_unf == 0)
                 break;
-            /* occupancy counts over unfrozen classes (exact int sums) */
-            memset(counts, 0, (size_t)ntouched * sizeof(double));
-            for (ui = 0; ui < n_unf; ui++) {
-                c = unf[ui];
-                for (k = 0; k < kmax; k++) {
-                    j = cres[c * kmax + k];
-                    if (j < 0)
-                        break;
-                    counts[j] += cmult[c];
-                    have_res = 1;
-                }
-            }
-            if (!have_res) {
+            if (n_unf_res == 0) {
                 /* remaining flows touch no capacity: bounded by caps */
                 for (ui = 0; ui < n_unf; ui++) {
                     c = unf[ui];
@@ -265,22 +288,27 @@ int64_t repro_maxmin_class_solve(
                 }
                 break;
             }
-            /* candidate per class: min share across resources, then cap
-             * (share = max(cap_rem, 0) / counts, as the numpy solve) */
+            /* share = max(cap_rem, 0) / counts where counts > 0, once
+             * per capacity, as the numpy solve; a capacity no unfrozen
+             * class touches has counts 0 and its share is never read */
+            for (j = 0; j < ntouched; j++) {
+                if (counts[j] > 0.0) {
+                    double rem = cap_rem[j];
+                    if (rem < 0.0)
+                        rem = 0.0;
+                    share[j] = rem / counts[j];
+                }
+            }
+            /* candidate per class: min share across resources, then cap */
             for (ui = 0; ui < n_unf; ui++) {
                 double cd = INFINITY;
                 c = unf[ui];
                 for (k = 0; k < kmax; k++) {
-                    double sh, rem;
                     j = cres[c * kmax + k];
                     if (j < 0)
                         break;
-                    rem = cap_rem[j];
-                    if (rem < 0.0)
-                        rem = 0.0;
-                    sh = rem / counts[j];
-                    if (sh < cd)
-                        cd = sh;
+                    if (share[j] < cd)
+                        cd = share[j];
                 }
                 if (ccap[c] < cd)
                     cd = ccap[c];
@@ -288,13 +316,22 @@ int64_t repro_maxmin_class_solve(
                 if (cd < s_star)
                     s_star = cd;
             }
-            /* freeze = unfrozen & (candidate <= s_star * batch) */
+            /* freeze = unfrozen & (candidate <= s_star * batch); a frozen
+             * class's multiplicity leaves the counts of its capacities,
+             * which equals recounting the unfrozen classes exactly */
             thresh = s_star * batch;
             for (ui = 0; ui < n_unf; ui++) {
                 c = unf[ui];
                 if (cand[c] <= thresh) {
                     crate[c] = cand[c];
                     newly[n_new++] = c;
+                    for (k = 0; k < kmax; k++) {
+                        j = cres[c * kmax + k];
+                        if (j < 0)
+                            break;
+                        counts[j] -= cmult[c];
+                    }
+                    n_unf_res -= k > 0;
                 } else {
                     unf[wi++] = c;  /* stable compaction keeps order */
                 }
@@ -302,15 +339,19 @@ int64_t repro_maxmin_class_solve(
             n_unf = wi;
             /* scatter consumption per flow in ascending slot order, as
              * np.add.at over the frozen flows does, then subtract: the
-             * frozen classes' member lists merged and sorted (one
-             * class's list is already in order) */
+             * frozen classes' member lists merged, and sorted unless the
+             * merge already ascends (one-flow classes, numbered in
+             * first-appearance order, always do) */
             memset(consumed, 0, (size_t)ntouched * sizeof(double));
             for (i = 0; i < n_new; i++) {
                 c = newly[i];
-                for (f = cstart[c]; f < cstart[c + 1]; f++)
+                for (f = cstart[c]; f < cstart[c + 1]; f++) {
+                    if (m > 0 && members[f] < buf[m - 1])
+                        ascending = 0;
                     buf[m++] = members[f];
+                }
             }
-            if (n_new > 1)
+            if (!ascending)
                 qsort(buf, (size_t)m, sizeof(int64_t), cmp_i64);
             for (i = 0; i < m; i++) {
                 double rr;
@@ -336,20 +377,12 @@ int64_t repro_maxmin_class_solve(
     }
     for (j = 0; j < ntouched; j++)
         cap_used_out[touched[j]] = capacities[touched[j]] - cap_rem[j];
-    goto done;
 
-fail:
-    rounds = -1;
-done:
     /* hand the scratch maps back reading all -1 */
     for (c = 0; c < nclasses; c++)
         class_map[present[c]] = -1;
     for (j = 0; j < ntouched; j++)
         res_map[touched[j]] = -1;
-    free(present); free(inverse); free(touched); free(cres); free(ccap);
-    free(cmult); free(crate); free(cand); free(members); free(buf);
-    free(cstart); free(cfill); free(unf); free(newly);
-    free(counts); free(cap_rem); free(consumed);
     return rounds;
 }
 
@@ -382,6 +415,20 @@ int64_t repro_advance_finish(
         ndone += done_out[i];
     }
     return ndone;
+}
+
+/* The ascending indices of the set entries of active[0..n), i.e.
+ * np.flatnonzero(active), written to idx_out (n entries); returns their
+ * count. */
+int64_t repro_active_index(int64_t n, const uint8_t *active,
+                           int64_t *idx_out)
+{
+    int64_t i, m = 0;
+    for (i = 0; i < n; i++) {
+        idx_out[m] = i;
+        m += active[i] != 0;
+    }
+    return m;
 }
 
 /* The next-completion delay over idx[0..n): np.min(remaining[idx] /
@@ -417,18 +464,27 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _build_c_library() -> str:
-    """Compile the kernel into a content-addressed ``.so``; return its path.
+def library_name() -> str:
+    """The file name the loader looks up in the kernel cache.
 
-    The library name embeds a hash of the C source and the compiler
-    flags, so editing either never reuses a stale binary, and a cached library needs no
-    compiler; concurrent builders (sweep worker processes) race benignly
-    through an atomic ``os.replace``.
+    It embeds a hash of the C source and the compiler flags, so editing
+    either never reuses a stale binary. A library built elsewhere under
+    this name (say, with sanitizers) is loaded as is.
     """
     digest = hashlib.blake2b(" ".join(_CFLAGS + (_C_SOURCE,)).encode("utf-8"),
                              digest_size=10).hexdigest()
+    return f"maxmin_{digest}.so"
+
+
+def _build_c_library() -> str:
+    """Compile the kernel into a content-addressed ``.so``; return its path.
+
+    A cached library (see :func:`library_name`) needs no compiler;
+    concurrent builders (sweep worker processes) race benignly through
+    an atomic ``os.replace``.
+    """
     cache_dir = config.get("REPRO_KERNEL_CACHE")
-    lib_path = os.path.join(cache_dir, f"maxmin_{digest}.so")
+    lib_path = os.path.join(cache_dir, library_name())
     if os.path.exists(lib_path):
         return lib_path
     cc = _find_compiler()
@@ -468,15 +524,20 @@ _C_FUNCTIONS = {
     "repro_maxmin_class_solve": (_I64, [
         _I64, _PTR, _PTR, _I64,     # nflows, slots, slot_class, kmax
         _PTR, _PTR,                 # class_res, class_cap
-        _PTR, _DBL,                 # capacities, fairness_slack
+        _PTR, _I64, _DBL,           # capacities, nres, fairness_slack
         _PTR, _PTR,                 # class_map, res_map (scratch, all -1)
+        _PTR, _I64,                 # arena, arena_words (scratch)
         _PTR, _PTR]),               # rate_out, cap_used_out
+    "repro_maxmin_arena_words": (_I64, [
+        _I64, _I64, _I64]),         # nflows, nres, kmax
     "repro_advance_finish": (_I64, [
         _I64, _PTR, _PTR, _PTR, _PTR,   # n, idx, rate, remaining, start
         _DBL, _DBL, _DBL,               # dt, now, completion_slack
         _PTR, _PTR]),                   # moved_out, done_out
     "repro_next_finish": (_DBL, [
         _I64, _PTR, _PTR, _PTR]),       # n, idx, remaining, rate
+    "repro_active_index": (_I64, [
+        _I64, _PTR, _PTR]),             # n, active mask, idx_out
 }
 
 
@@ -614,19 +675,24 @@ class MaxminKernel:
     """Handle on the loaded C library.
 
     ``solve`` takes the arguments of :func:`maxmin_class_solve_np` and
-    returns its results bit for bit. ``solve_fn``, ``advance_fn`` and
-    ``next_finish_fn`` are the raw ctypes functions
-    :class:`~repro.des.bandwidth.FlowNetwork` calls with the addresses of
-    arrays it owns.
+    returns its results bit for bit. ``solve_fn``, ``advance_fn``,
+    ``next_finish_fn`` and ``active_index_fn`` are the raw ctypes
+    functions :class:`~repro.des.bandwidth.FlowNetwork` calls with the
+    addresses of arrays it owns; ``arena_words_fn`` sizes the solve's
+    scratch arena.
     """
 
-    __slots__ = ("solve_fn", "advance_fn", "next_finish_fn")
+    __slots__ = ("solve_fn", "arena_words_fn", "advance_fn",
+                 "next_finish_fn", "active_index_fn")
 
-    def __init__(self, solve_fn: Callable, advance_fn: Callable,
-                 next_finish_fn: Callable) -> None:
+    def __init__(self, solve_fn: Callable, arena_words_fn: Callable,
+                 advance_fn: Callable, next_finish_fn: Callable,
+                 active_index_fn: Callable) -> None:
         self.solve_fn = solve_fn
+        self.arena_words_fn = arena_words_fn
         self.advance_fn = advance_fn
         self.next_finish_fn = next_finish_fn
+        self.active_index_fn = active_index_fn
 
     def solve(self, flow_class: np.ndarray, class_res: np.ndarray,
               class_cap: np.ndarray, capacities: np.ndarray,
@@ -667,17 +733,20 @@ class MaxminKernel:
         slots = np.arange(flow_class.size, dtype=np.int64)
         rate = np.empty(flow_class.size, dtype=np.float64)
         cap_used = np.zeros(capacities.size, dtype=np.float64)
-        rounds = self.solve_fn(
-            flow_class.size, slots.ctypes.data, flow_class.ctypes.data,
-            class_res.shape[1],
-            class_res.ctypes.data, class_cap.ctypes.data,
-            capacities.ctypes.data, float(fairness_slack),
-            class_map.ctypes.data, res_map.ctypes.data,
-            rate.ctypes.data, cap_used.ctypes.data)
-        if rounds < 0:
+        kmax = class_res.shape[1]
+        arena = np.empty(self.arena_words_fn(flow_class.size,
+                                             capacities.size, kmax),
+                         dtype=np.int64)
+        if self.solve_fn(
+                flow_class.size, slots.ctypes.data, flow_class.ctypes.data,
+                kmax, class_res.ctypes.data, class_cap.ctypes.data,
+                capacities.ctypes.data, capacities.size,
+                float(fairness_slack), class_map.ctypes.data,
+                res_map.ctypes.data, arena.ctypes.data, arena.size,
+                rate.ctypes.data, cap_used.ctypes.data) < 0:
             raise SimulationError(
-                f"compiled maxmin kernel ran out of memory for "
-                f"{flow_class.size} flows")
+                f"compiled maxmin kernel: scratch arena of {arena.size} "
+                f"words too small for {flow_class.size} flows")
         return rate, cap_used
 
 

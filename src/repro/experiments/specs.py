@@ -22,7 +22,9 @@ server — and always means the same experiment:
   picklable, so it crosses process-pool boundaries and keys the
   content-addressed result cache.
 
-Optional spec fields: ``seed`` (int, default 42), ``write_phases``
+``ncores`` is a whole number of the preset's nodes (12 cores on Kraken,
+24 on Grid'5000, 16 on BluePrint). Optional spec fields: ``seed`` (int,
+default 42), ``write_phases``
 (int >= 1), ``nvariables`` (int, BluePrint's workload variable count;
 preset ``blueprint`` only), ``faults`` (a
 :meth:`repro.faults.FaultSchedule.to_dict` payload) and ``trace_label``
@@ -156,6 +158,11 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
             raise SpecError(f"a sweep spec needs {key!r}; got {sorted(spec)}")
     _require_known(spec, "preset", PRESETS)
     _require_int(spec, "ncores", 1)
+    per_node = PRESETS[spec["preset"]]().cores_per_node
+    if spec["ncores"] % per_node:
+        raise SpecError(
+            f"spec['ncores'] must be a multiple of {spec['preset']}'s "
+            f"{per_node}-core nodes, got {spec['ncores']}")
     strategy = spec["strategy"]
     if not isinstance(strategy, dict) or "kind" not in strategy:
         raise SpecError("spec['strategy'] must be a dict with a 'kind'")
@@ -192,7 +199,7 @@ def validate_spec(spec: Any) -> Dict[str, Any]:
         raise SpecError(
             f"spec['trace_label'] must be a non-empty string, "
             f"got {spec['trace_label']!r}")
-    if "faults" in spec and spec["faults"]:
+    if "faults" in spec:
         from repro.faults import FaultSchedule
         from repro.faults.schedule import FaultScheduleError
         try:

@@ -238,6 +238,26 @@ class TestCompressionAndScheduling:
         totals = deployment.total_bytes()
         assert totals["out"] == pytest.approx(totals["raw"] / 1.87, rel=0.01)
 
+    def test_compress_without_model_rejected_at_deployment(self):
+        machine, fs, _ = build()
+        config = DamarisConfig()
+        config.add_layout("grid", "float", (64, 64, 16))
+        config.add_variable("temperature", "grid")
+        config.add_event("end_iteration", "compress")
+        with pytest.raises(ConfigurationError, match="compress"):
+            DamarisDeployment(machine, fs, config)
+
+    def test_compress_rebound_without_model_raises(self):
+        # Rebinding after construction gets past the deployment's check;
+        # the action itself must still refuse to persist raw data.
+        machine, fs, deployment = build()
+        deployment.config.actions["end_iteration"] = \
+            deployment.config.actions["end_iteration"].__class__(
+                "end_iteration", "compress")
+        with pytest.raises(ConfigurationError, match="compress"):
+            run_clients(machine, deployment, iterations=1)
+        assert fs.file_count == 0
+
     def test_compression_time_charged_to_dedicated_core(self):
         options = DamarisOptions(compression=GZIP_MODEL)
         machine, _, deployment = build(options=options)

@@ -149,7 +149,8 @@ FIELD_VALUES = {"compression": "gzip", "stripe_size": 1 << 20,
 
 
 def spec_for(strategy, preset="grid5000", **top):
-    return {"preset": preset, "ncores": 24, "strategy": strategy, **top}
+    # 48 cores: whole nodes on every preset (12, 24 and 16 per node).
+    return {"preset": preset, "ncores": 48, "strategy": strategy, **top}
 
 
 class TestSpecValidation:
@@ -212,6 +213,23 @@ class TestSpecValidation:
             with pytest.raises(SpecError, match="nvariables"):
                 validate_spec(spec_for({"kind": "fpp"}, preset=preset,
                                        nvariables=3))
+
+    @pytest.mark.parametrize("preset,per_node", [
+        ("kraken", 12), ("grid5000", 24), ("blueprint", 16)])
+    def test_ncores_is_whole_nodes_of_the_preset(self, preset, per_node):
+        validate_spec(spec_for({"kind": "noio"}, preset=preset,
+                               ncores=4 * per_node))
+        for ncores in (per_node // 2, 4 * per_node + 1, 100):
+            if ncores % per_node:
+                with pytest.raises(SpecError, match="ncores"):
+                    validate_spec(spec_for({"kind": "noio"}, preset=preset,
+                                           ncores=ncores))
+
+    @pytest.mark.parametrize("faults", [0, "", False, [], {}], ids=[
+        "zero", "empty-string", "false", "empty-list", "empty-dict"])
+    def test_falsy_faults_are_rejected(self, faults):
+        with pytest.raises(SpecError, match="faults"):
+            validate_spec(spec_for({"kind": "noio"}, faults=faults))
 
     @pytest.mark.parametrize("label", [5, "", None, ["a"]])
     def test_trace_label_is_a_non_empty_string(self, label):

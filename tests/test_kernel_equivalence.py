@@ -19,6 +19,7 @@ empty-network and single-flow edge cases the interfaces degenerate on.
 
 import math
 import random
+from typing import Tuple
 
 import numpy as np
 import pytest
@@ -172,31 +173,55 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
                           class_cap: np.ndarray, capacities: np.ndarray,
                           fairness_slack: float, rate_out: np.ndarray,
                           cap_used_out: np.ndarray, class_map: np.ndarray,
-                          res_map: np.ndarray) -> int:
+                          res_map: np.ndarray) -> Tuple[int, int]:
     """Scalar-loop water-filling: the C kernel's algorithm in Python.
 
     Never on a simulation path: it is the executable specification these
     tests diff the C kernel against bit-for-bit, written statement for
     statement like the C source (arrays and scalars only) so a
-    divergence points at one line; only the indirection differs: the C
-    kernel reads flow ``f``'s class as ``slot_class[slots[f]]`` and
-    writes its rate to ``rate_out[slots[f]]``, so a network solves its
-    active slots in place (:meth:`repro.des.kernels.MaxminKernel.solve`
-    passes ``slots = 0..n-1``). ``class_map`` and ``res_map`` are the scratch
+    divergence points at one line; only the indirection and the scratch
+    differ: the C kernel reads flow ``f``'s class as
+    ``slot_class[slots[f]]`` and writes its rate to
+    ``rate_out[slots[f]]``, so a network solves its active slots in
+    place (:meth:`repro.des.kernels.MaxminKernel.solve` passes
+    ``slots = 0..n-1``), and it carves the arrays allocated here from a
+    caller-owned arena. ``class_map`` and ``res_map`` are the scratch
     maps (all -1 on entry and on return); ``cap_used_out`` is written
-    for the touched capacities only.
+    for the touched capacities only. Returns the number of freeze
+    rounds and how many of them had to sort the frozen flows.
     """
     nflows = flow_class.shape[0]
     kmax = class_res.shape[1]
+    nres = capacities.shape[0]
     batch = 1.0 + fairness_slack + 1e-12
 
     if nflows == 0:
-        return 0
+        return 0, 0
 
-    # number the classes present, in first-appearance order
     present = np.empty(nflows, dtype=np.int64)
     inverse = np.empty(nflows, dtype=np.int64)
+    cres = np.empty((nflows, kmax), dtype=np.int64)
+    members = np.empty(nflows, dtype=np.int64)
+    buf = np.empty(nflows, dtype=np.int64)
+    cstart = np.empty(nflows + 1, dtype=np.int64)
+    unf = np.empty(nflows, dtype=np.int64)
+    newly = np.empty(nflows, dtype=np.int64)
+    touched = np.empty(nres, dtype=np.int64)
+    ccap = np.empty(nflows, dtype=np.float64)
+    cmult = np.empty(nflows, dtype=np.float64)
+    crate = np.empty(nflows, dtype=np.float64)
+    cand = np.empty(nflows, dtype=np.float64)
+    counts = np.empty(nres, dtype=np.float64)
+    cap_rem = np.empty(nres, dtype=np.float64)
+    consumed = np.empty(nres, dtype=np.float64)
+    share = np.empty(nres, dtype=np.float64)
     nclasses = 0
+    ntouched = 0
+    n_unf_res = 0
+    rounds = 0
+    sorts = 0
+
+    # number the classes present, in first-appearance order
     for f in range(nflows):
         cid = flow_class[f]
         c = class_map[cid]
@@ -208,10 +233,6 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
         inverse[f] = c
 
     # compact the class rows onto the touched capacities
-    touched = np.empty(nclasses * kmax, dtype=np.int64)
-    ntouched = 0
-    cres = np.empty((nclasses, kmax), dtype=np.int64)
-    ccap = np.empty(nclasses, dtype=np.float64)
     for c in range(nclasses):
         cid = present[c]
         k = 0
@@ -231,97 +252,110 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
             cres[c, k] = -1
             k += 1
         ccap[c] = class_cap[cid]
-
-    cmult = np.zeros(nclasses, dtype=np.float64)
-    crate = np.zeros(nclasses, dtype=np.float64)
-    cand = np.zeros(nclasses, dtype=np.float64)
-    cstart = np.zeros(nclasses + 1, dtype=np.int64)
+        cmult[c] = 0.0
+        crate[c] = 0.0
+        cstart[c + 1] = 0
+    cstart[0] = 0
     for f in range(nflows):
         c = inverse[f]
         cmult[c] += 1.0
         cstart[c + 1] += 1
     for c in range(nclasses):
         cstart[c + 1] += cstart[c]
-    cfill = cstart[:nclasses].copy()
-    members = np.empty(nflows, dtype=np.int64)
+    for c in range(nclasses):
+        buf[c] = cstart[c]
     for f in range(nflows):
         c = inverse[f]
-        members[cfill[c]] = f
-        cfill[c] += 1
+        members[buf[c]] = f
+        buf[c] += 1
 
-    unf = np.arange(nclasses, dtype=np.int64)
-    n_unf = nclasses
-    cap_rem = np.empty(ntouched, dtype=np.float64)
+    # occupancy counts over all classes, the unfrozen classes in
+    # numbering order, and how many of those touch a capacity
     for j in range(ntouched):
+        counts[j] = 0.0
         cap_rem[j] = capacities[touched[j]]
-    counts = np.zeros(ntouched, dtype=np.float64)
-    consumed = np.zeros(ntouched, dtype=np.float64)
-    newly = np.empty(nclasses, dtype=np.int64)
-    buf = np.empty(nflows, dtype=np.int64)
-    rounds = 0
+    for c in range(nclasses):
+        unf[c] = c
+        k = 0
+        while k < kmax:
+            j = cres[c, k]
+            if j < 0:
+                break
+            counts[j] += cmult[c]
+            k += 1
+        n_unf_res += k > 0
+    n_unf = nclasses
 
     for _ in range(nclasses + ntouched + 1):
+        n_new = 0
+        m = 0
+        wi = 0
+        ascending = True
+        s_star = np.inf
         if n_unf == 0:
             break
-        have_res = False
-        for j in range(ntouched):
-            counts[j] = 0.0
-        for ui in range(n_unf):
-            c = unf[ui]
-            for k in range(kmax):
-                j = cres[c, k]
-                if j < 0:
-                    break
-                counts[j] += cmult[c]
-                have_res = True
-        if not have_res:
+        if n_unf_res == 0:
             for ui in range(n_unf):
                 c = unf[ui]
                 crate[c] = ccap[c]
             break
-        s_star = np.inf
+        # share per capacity, once per round
+        for j in range(ntouched):
+            if counts[j] > 0.0:
+                rem = cap_rem[j]
+                if rem < 0.0:
+                    rem = 0.0
+                share[j] = rem / counts[j]
         for ui in range(n_unf):
-            c = unf[ui]
             cd = np.inf
+            c = unf[ui]
             for k in range(kmax):
                 j = cres[c, k]
                 if j < 0:
                     break
-                rem = cap_rem[j]
-                if rem < 0.0:
-                    rem = 0.0
-                sh = rem / counts[j]
-                if sh < cd:
-                    cd = sh
+                if share[j] < cd:
+                    cd = share[j]
             if ccap[c] < cd:
                 cd = ccap[c]
             cand[c] = cd
             if cd < s_star:
                 s_star = cd
+        # freeze, and subtract each frozen class's multiplicity
         thresh = s_star * batch
-        n_new = 0
-        m = 0
-        wi = 0
         for ui in range(n_unf):
             c = unf[ui]
             if cand[c] <= thresh:
                 crate[c] = cand[c]
                 newly[n_new] = c
                 n_new += 1
+                k = 0
+                while k < kmax:
+                    j = cres[c, k]
+                    if j < 0:
+                        break
+                    counts[j] -= cmult[c]
+                    k += 1
+                n_unf_res -= k > 0
             else:
                 unf[wi] = c
                 wi += 1
         n_unf = wi
+        # scatter per flow in ascending slot order; sort the merged
+        # member lists only when they do not already ascend
         for j in range(ntouched):
             consumed[j] = 0.0
         for i in range(n_new):
             c = newly[i]
             for p in range(cstart[c], cstart[c + 1]):
+                if m > 0 and members[p] < buf[m - 1]:
+                    ascending = False
                 buf[m] = members[p]
                 m += 1
-        frozen_flows = np.sort(buf[:m]) if n_new > 1 else buf[:m]
-        for f in frozen_flows:
-            c = inverse[f]
+        if not ascending:
+            buf[:m] = np.sort(buf[:m])
+            sorts += 1
+        for i in range(m):
+            c = inverse[buf[i]]
             rr = crate[c]
             for k in range(kmax):
                 j = cres[c, k]
@@ -341,20 +375,22 @@ def maxmin_class_solve_py(flow_class: np.ndarray, class_res: np.ndarray,
         class_map[present[c]] = -1
     for j in range(ntouched):
         res_map[touched[j]] = -1
-    return rounds
+    return rounds, sorts
 
 
 def assert_c_matches_spec(flow_class, class_res, class_cap, capacities,
                           slack):
     """The C kernel vs its interpreted specification and the numpy
     solve, bit for bit, through one pair of scratch maps that both must
-    hand back reading all -1."""
+    hand back reading all -1. Returns the rates, the consumption, and
+    the specification's freeze rounds and how many of them sorted."""
     class_map = np.full(class_cap.size, -1, dtype=np.int64)
     res_map = np.full(capacities.size, -1, dtype=np.int64)
     rate_spec = np.empty(flow_class.size, dtype=np.float64)
     used_spec = np.zeros(capacities.size, dtype=np.float64)
-    maxmin_class_solve_py(flow_class, class_res, class_cap, capacities,
-                          slack, rate_spec, used_spec, class_map, res_map)
+    rounds, sorts = maxmin_class_solve_py(
+        flow_class, class_res, class_cap, capacities, slack, rate_spec,
+        used_spec, class_map, res_map)
     assert (class_map == -1).all() and (res_map == -1).all()
     rate_c, used_c = compiled_kernel().solve(
         flow_class, class_res, class_cap, capacities, slack,
@@ -366,7 +402,7 @@ def assert_c_matches_spec(flow_class, class_res, class_cap, capacities,
         flow_class, class_res, class_cap, capacities, slack)
     assert rate_c.tobytes() == rate_np.tobytes()
     assert used_c.tobytes() == used_np.tobytes()
-    return rate_c, used_c
+    return rate_c, used_c, rounds, sorts
 
 
 def class_table(rows, caps):
@@ -428,9 +464,88 @@ def test_c_kernel_frozen_classes_scatter_in_slot_order(slack):
     flow_class = np.array(
         [capped[pos] if pos in capped else next(rest)
          for pos in range(40)], dtype=np.int64)
-    rate, _used = assert_c_matches_spec(
+    rate, _used, _rounds, sorts = assert_c_matches_spec(
         flow_class, class_res, class_cap, np.array([100.0, 1.25]), slack)
     assert rate[[3, 5]].tolist() == [0.1849] * 2
+    assert sorts >= 1
+
+
+@needs_compiled
+@pytest.mark.parametrize("slack", [0.0, 0.08])
+def test_c_kernel_all_single_flow_classes_skip_the_sort(slack):
+    """36 one-flow classes (distinct signatures over 8 capacities),
+    half capped at the same rate, so rounds freeze several classes at
+    once: numbered in first-appearance order, their merged members
+    already ascend, and the specification never sorts (contrast the
+    interleaved case above, where it must)."""
+    rows = [[r] for r in range(8)] + [
+        [a, b] for a in range(8) for b in range(a + 1, 8)]
+    caps = [1.0 if cid % 2 else np.inf for cid in range(len(rows))]
+    class_res, class_cap = class_table(rows, caps)
+    flow_class = np.random.default_rng(3).permutation(
+        len(rows)).astype(np.int64)
+    _rate, _used, rounds, sorts = assert_c_matches_spec(
+        flow_class, class_res, class_cap,
+        np.linspace(40.0, 75.0, 8), slack)
+    assert rounds < len(rows) and sorts == 0
+
+
+@needs_compiled
+@pytest.mark.parametrize("slack", [0.0, 0.08])
+def test_c_kernel_counts_drop_as_a_multi_flow_class_freezes(slack):
+    """A three-flow class X on capacities A and B freezes first at its
+    cap while Y (on A) and the two-flow Z (on B) stay unfrozen: their
+    shares must divide by the counts without X (88 / 1 and 48 / 2), not
+    by the counts at the start (88 / 4 and 48 / 5)."""
+    class_res, class_cap = class_table([[0, 1], [0], [1]],
+                                       [4.0, np.inf, np.inf])
+    flow_class = np.array([0, 2, 0, 1, 2, 0], dtype=np.int64)
+    rate, used, _rounds, _sorts = assert_c_matches_spec(
+        flow_class, class_res, class_cap, np.array([100.0, 60.0]), slack)
+    assert rate.tolist() == [4.0, 24.0, 4.0, 88.0, 24.0, 4.0]
+    assert used.tolist() == [100.0, 60.0]
+
+
+@needs_compiled
+def test_compiled_pass_arena_carries_nothing_between_solves():
+    """One network's compiled pass solves a large, a small, then another
+    large component, each equal bit for bit to the python kernel's solve
+    of the same slots, with its arena overwritten by junk before every
+    solve: nothing of one solve leaks into the next, and the scratch
+    maps read -1 after each."""
+    rng = np.random.default_rng(77)
+    plan = []  # (group, resources, rate cap) per flow
+    for group, (first, count, nflows) in enumerate(
+            [(0, 10, 300), (10, 2, 3), (12, 8, 250)]):
+        for _ in range(nflows):
+            res = sorted(rng.choice(count, size=int(rng.integers(1, 3)),
+                                    replace=False) + first)
+            plan.append((group, res, float(rng.choice([np.inf, 3e6, 5e6]))))
+    capacities = rng.uniform(5e7, 2e8, size=20)
+    nets, groups = {}, {}
+    for kernel in ("python", "compiled"):
+        net = FlowNetwork(Simulator(), fairness_slack=0.08, kernel=kernel)
+        links = [net.add_capacity(f"c{i}", float(c))
+                 for i, c in enumerate(capacities)]
+        groups[kernel] = [[], [], []]
+        for group, res, cap in plan:
+            flow = net.transfer([links[r] for r in res], 1e9, rate_cap=cap)
+            groups[kernel][group].append(flow.index)
+        nets[kernel] = net
+    assert groups["python"] == groups["compiled"]
+    py_net, c_net = nets["python"], nets["compiled"]
+    c_pass = c_net._pass
+    c_pass.addr or c_pass._pin(c_net)
+    for slots in groups["compiled"]:
+        idx = np.array(slots, dtype=np.int64)
+        c_pass.arena[:] = rng.integers(-2**62, 2**62, size=c_pass.arena.size)
+        py_net._pass.solve(py_net, idx, whole=False)
+        c_pass.solve(c_net, idx, whole=False)
+        assert c_net._rate.tobytes() == py_net._rate.tobytes()
+        assert c_net._cap_used.tobytes() == py_net._cap_used.tobytes()
+        assert (c_pass.class_map == -1).all()
+        assert (c_pass.res_map == -1).all()
+    assert (c_net._rate[groups["compiled"][1]] > 1e-12).all()
 
 
 @needs_compiled
@@ -441,8 +556,8 @@ def test_c_kernel_untouched_capacities_read_zero():
                                        [np.inf, 10.0, np.inf])
     capacities = np.arange(1.0, 11.0) * 100.0
     flow_class = np.array([1, 0, 1, 0], dtype=np.int64)
-    _rate, used = assert_c_matches_spec(flow_class, class_res, class_cap,
-                                        capacities, 0.0)
+    _rate, used, _rounds, _sorts = assert_c_matches_spec(
+        flow_class, class_res, class_cap, capacities, 0.0)
     untouched = [r for r in range(10) if r not in (3, 7)]
     assert (used[untouched] == 0.0).all()
     assert used[3] > 0.0 and used[7] > 0.0

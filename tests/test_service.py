@@ -77,7 +77,7 @@ def test_progress_events_are_monotonic_and_complete():
 def test_result_before_terminal_is_typed_409():
     with ServiceFixture(runner=slow_runner, workers=1) as fx:
         client = fx.client()
-        snap = client.submit([make_spec(seed=1, ncores=80)])
+        snap = client.submit([make_spec(seed=1, ncores=96)])
         with pytest.raises(JobNotFinishedError):
             client.result(snap["job_id"])
         with pytest.raises(UnknownJobError):
@@ -144,13 +144,13 @@ def test_second_tenant_sweep_is_cache_hits(tmp_path):
 
 def test_concurrent_overlapping_sweeps_dedup_in_flight(tmp_path):
     cache = ResultCache(str(tmp_path / "store"))
-    # slow_runner + ncores=100 -> each spec takes ~1s, so bob's
+    # slow_runner + ncores=72 -> each spec takes ~0.7 s, so bob's
     # identical submission lands while alice's specs are still being
     # computed: the in-flight map must collapse them.
     with ServiceFixture(runner=slow_runner, cache=cache, workers=2,
                         job_slots=4) as fx:
         alice, bob = fx.client(tenant="alice"), fx.client(tenant="bob")
-        specs = _specs(2, ncores=60)
+        specs = _specs(2, ncores=72)
         first = alice.submit(specs)
         fx.wait_until(
             lambda: alice.status(first["job_id"])["state"] == "running")
@@ -174,7 +174,7 @@ def test_quota_exhaustion_is_typed_and_recovers():
     with ServiceFixture(runner=slow_runner, workers=1,
                         quotas=quotas) as fx:
         client = fx.client(tenant="alice")
-        first = client.submit([make_spec(seed=1, ncores=60)])
+        first = client.submit([make_spec(seed=1, ncores=72)])
         with pytest.raises(QuotaExceededError) as info:
             client.submit([make_spec(seed=2)])
         assert info.value.details["limit"] == "max_active_jobs"
@@ -214,7 +214,7 @@ def test_rate_limit_recovery_with_fake_clock():
 def test_cancel_running_job():
     with ServiceFixture(runner=slow_runner, workers=1) as fx:
         client = fx.client(tenant="alice")
-        snap = client.submit([make_spec(seed=i, ncores=80)
+        snap = client.submit([make_spec(seed=i, ncores=96)
                               for i in range(3)])
         fx.wait_until(
             lambda: client.status(snap["job_id"])["state"] == "running")
@@ -231,8 +231,8 @@ def test_cancel_queued_job_never_runs():
     with ServiceFixture(runner=slow_runner, workers=1,
                         job_slots=1) as fx:
         client = fx.client()
-        running = client.submit([make_spec(seed=1, ncores=80)])
-        queued = client.submit([make_spec(seed=2, ncores=80)])
+        running = client.submit([make_spec(seed=1, ncores=96)])
+        queued = client.submit([make_spec(seed=2, ncores=96)])
         cancelled = client.cancel(queued["job_id"])
         assert cancelled["state"] == "cancelled"
         assert cancelled["started_at"] is None
@@ -249,8 +249,8 @@ def test_drain_finishes_in_flight_and_rejects_new():
     with ServiceFixture(runner=slow_runner, workers=2,
                         job_slots=1) as fx:
         client = fx.client(tenant="alice")
-        running = client.submit([make_spec(seed=1, ncores=60)])
-        queued = client.submit([make_spec(seed=2, ncores=30)])
+        running = client.submit([make_spec(seed=1, ncores=72)])
+        queued = client.submit([make_spec(seed=2, ncores=48)])
         fx.wait_until(
             lambda: client.status(running["job_id"])["state"] == "running")
         assert client.drain()["state"] == "draining"
@@ -272,7 +272,7 @@ def test_stop_with_jobs_in_flight_leaves_no_orphans():
     fx.start()
     try:
         client = fx.client()
-        snaps = [client.submit([make_spec(seed=i, ncores=60)])
+        snaps = [client.submit([make_spec(seed=i, ncores=72)])
                  for i in range(2)]
         fx.wait_until(lambda: fx.pool_pids())
         pids = fx.pool_pids()
@@ -309,7 +309,7 @@ def test_silent_client_cannot_hold_stop(monkeypatch):
 def test_worker_kill_fails_job_typed_and_server_survives():
     with ServiceFixture(runner=slow_runner, workers=1) as fx:
         client = fx.client(tenant="alice")
-        snap = client.submit([make_spec(seed=1, ncores=400)])
+        snap = client.submit([make_spec(seed=1, ncores=408)])
         fx.wait_until(
             lambda: fx.pool_pids()
             and client.status(snap["job_id"])["state"] == "running")
@@ -321,7 +321,7 @@ def test_worker_kill_fails_job_typed_and_server_survives():
             client.result(snap["job_id"])
         # the server replaced the pool and keeps serving
         assert client.health()["state"] == "ok"
-        retry = client.submit([make_spec(seed=2, ncores=5)])
+        retry = client.submit([make_spec(seed=2, ncores=24)])
         assert client.wait(retry["job_id"], timeout=60)["state"] == "done"
         assert "repro_worker_crashes_total 1" in client.metrics()
 

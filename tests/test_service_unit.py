@@ -293,7 +293,10 @@ def test_validate_payload_rejects_junk():
             make_spec(trace_label=5),
             # nvariables sets BluePrint's workload; on Kraken it would
             # silently swap BluePrint's subdomain in.
-            make_spec(preset="kraken", ncores=48, nvariables=3)]
+            make_spec(preset="kraken", ncores=48, nvariables=3),
+            # Not a whole number of 12-core nodes: the worker could not
+            # build the machine.
+            make_spec(preset="kraken", ncores=100)]
     # "false" is truthy: it would switch the scheduler on.
     for kind, strategy in (("damaris", {"compression": ["gzip"]}),
                            ("damaris", {"use_scheduler": "false"}),

@@ -24,6 +24,7 @@ import pytest
 
 from repro.des import FlowNetwork, Simulator
 from repro.des.bandwidth import SOLVER_COMPONENT, SOLVER_GLOBAL
+from repro.des.kernels import kernel_status
 from repro.errors import SimulationError
 
 
@@ -275,6 +276,48 @@ def test_active_indices_incremental_matches_mask():
         expected = np.flatnonzero(net._active)
         assert np.array_equal(idx, expected), f"diverged at step {step}"
         assert np.all(np.diff(idx) > 0)
+
+
+def _churn_past_initial_sizes(kernel):
+    """Arrivals, cancellations and new capacities past the initial 64
+    slots and 64 capacities. After every change the packed active index
+    must equal the active mask's flatnonzero, and the capacity views
+    must hold exactly the registered capacities. Returns the surviving
+    flows' end times."""
+    rng = np.random.default_rng(12)
+    sim = Simulator()
+    net = FlowNetwork(sim, kernel=kernel)
+    links, live = [], []
+    for step in range(400):
+        if step % 3 == 0:
+            links.append(net.add_capacity(f"c{len(links)}", 1e8 + step))
+        if live and rng.random() < 0.3:
+            live.pop(int(rng.integers(len(live)))).cancel()
+        else:
+            pick = rng.choice(len(links), size=min(2, len(links)),
+                              replace=False)
+            live.append(net.transfer([links[i] for i in pick],
+                                     float(rng.integers(1, 9)) * 1e7))
+        assert net._active_indices().tolist() \
+            == np.flatnonzero(net._active).tolist()
+        assert net._capacities.size == net._cap_used.size == len(links)
+        sim.run(until=sim.now + 0.01)
+    assert net._rate.size > 64 and len(links) > 64
+    assert [link.capacity for link in links] \
+        == [1e8 + 3 * i for i in range(len(links))]
+    sim.run()
+    assert net.active_flow_count == 0
+    return [flow.end_time for flow in live]
+
+
+def test_active_index_and_capacity_views_track_growth():
+    """Both kernels' passes keep the packed active index and the
+    capacity views right through growth, with identical end times."""
+    kernels = ["python"]
+    if kernel_status() != "unavailable":
+        kernels.append("compiled")
+    ends = [_churn_past_initial_sizes(kernel) for kernel in kernels]
+    assert all(end == ends[0] for end in ends)
 
 
 def test_tick_heap_stays_small_under_churn():
